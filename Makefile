@@ -40,26 +40,26 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# bench-smoke runs the observability, tracing, oracle, multi-core,
-# learned-eviction, parallel-engine and arena benchmarks once each and
-# fails if any stops being selected — a renamed or deleted benchmark
-# silently vanishes from `go test -bench`, so the output is grepped for
-# each name.
+# bench-smoke runs the core-model, observability, tracing, oracle,
+# multi-core, learned-eviction, parallel-engine and arena benchmarks
+# once each and fails if any stops being selected — a renamed or deleted
+# benchmark silently vanishes from `go test -bench`, so the output is
+# grepped for each name.
 bench-smoke:
-	@out="$$($(GO) test -bench 'BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkParallelMulticore|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
+	@out="$$($(GO) test -bench 'BenchmarkCPUIssue|BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkParallelMulticore|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
 	echo "$$out"; \
-	for name in BenchmarkObservability BenchmarkTracingV2 BenchmarkOracleHeadroom BenchmarkMulticoreThroughput BenchmarkLearnedEviction BenchmarkParallelMulticore BenchmarkArenaReuse; do \
+	for name in BenchmarkCPUIssue/l1 BenchmarkCPUIssue/mem BenchmarkObservability BenchmarkTracingV2 BenchmarkOracleHeadroom BenchmarkMulticoreThroughput BenchmarkLearnedEviction BenchmarkParallelMulticore BenchmarkArenaReuse; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
 
-# bench-record snapshots the perf-trajectory suite into BENCH_PR10.json
+# bench-record snapshots the perf-trajectory suite into BENCH_PR12.json
 # (instr/s, ns/op, allocs/op per benchmark; best of four passes). The
 # snapshot is committed so bench-compare has a fixed reference; any
 # pre_pr5_baseline / prior_baselines sections already in the file are
-# preserved, and the PR9 snapshot is folded in as a prior baseline so
+# preserved, and BENCH_PR10.json is folded in as a prior baseline so
 # the cross-PR trajectory stays in one document.
 bench-record:
-	$(GO) run ./tools/benchjson -record -out BENCH_PR10.json -prior pr9=BENCH_PR9.json -count 4
+	$(GO) run ./tools/benchjson -record -out BENCH_PR12.json -prior pr10=BENCH_PR10.json -count 4
 
 # bench-compare re-runs the suite and fails on a >10% instr/s drop
 # relative to the suite-wide median ratio (host steal on a virtualized
@@ -74,7 +74,7 @@ bench-record:
 # both sides, so each benchmark's samples are spread across the run's
 # wall time.
 bench-compare:
-	$(GO) run ./tools/benchjson -compare -baseline BENCH_PR10.json -count 4
+	$(GO) run ./tools/benchjson -compare -baseline BENCH_PR12.json -count 4
 
 # loadtest-smoke fires a short chaos burst at an in-process sweep
 # service (tools/loadgen): every job must come back with a terminal

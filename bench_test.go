@@ -19,6 +19,7 @@ import (
 
 	"mlpcache/internal/analytic"
 	"mlpcache/internal/core"
+	"mlpcache/internal/cpu"
 	"mlpcache/internal/experiments"
 	"mlpcache/internal/metrics"
 	"mlpcache/internal/mshr"
@@ -321,6 +322,59 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		sim.MustRun(cfg, spec.Build(42))
 	}
 	b.ReportMetric(float64(benchInstructions)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+}
+
+// cpuIssueInstructions is the materialised stream length for
+// BenchmarkCPUIssue.
+const cpuIssueInstructions = 1_000_000
+
+// fixedLatencyMem answers every access after one fixed latency, so the
+// core is measured alone: 2 cycles is an L1 hit, 444 an isolated DRAM
+// miss.
+type fixedLatencyMem struct{ lat uint64 }
+
+func (m fixedLatencyMem) Access(_ uint64, _ bool, now uint64) (uint64, bool) {
+	return now + m.lat, true
+}
+
+// BenchmarkCPUIssue measures the core model alone — fetch, wakeup,
+// issue and retire — over a materialised art stream against a
+// fixed-latency memory, fast-forwarding through idle cycles the way the
+// run loop does. "l1" keeps the window flowing; "mem" fills it with
+// entries waiting on 444-cycle loads, the case the wakeup-driven issue
+// stage exists for.
+func BenchmarkCPUIssue(b *testing.B) {
+	spec, _ := workload.ByName("art")
+	stream := trace.Collect(spec.Build(42), cpuIssueInstructions)
+	for _, m := range []struct {
+		name string
+		lat  uint64
+	}{{"l1", 2}, {"mem", 444}} {
+		b.Run(m.name, func(b *testing.B) {
+			var total uint64
+			for i := 0; i < b.N; i++ {
+				c := cpu.New(cpu.DefaultConfig(), fixedLatencyMem{lat: m.lat}, trace.NewSliceSource(stream))
+				for now := uint64(1); !c.Finished(); now++ {
+					total += uint64(c.Cycle(now))
+					if c.DidWork() {
+						continue
+					}
+					wake := c.NextEvent(now)
+					if wake == ^uint64(0) {
+						b.Fatal("core wedged with work outstanding")
+					}
+					if wake > now+1 {
+						c.NoteSkipped(wake - now - 1)
+						now = wake - 1
+					}
+				}
+			}
+			if total != uint64(b.N)*uint64(len(stream)) {
+				b.Fatalf("retired %d, want %d", total, uint64(b.N)*uint64(len(stream)))
+			}
+			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instr/s")
+		})
+	}
 }
 
 // BenchmarkMulticoreThroughput drives the contended two-core engine —

@@ -13,6 +13,9 @@
 package cpu
 
 import (
+	"math"
+	"math/bits"
+
 	"mlpcache/internal/bpred"
 	"mlpcache/internal/simerr"
 	"mlpcache/internal/trace"
@@ -62,11 +65,16 @@ func (c Config) Validate() error {
 			"cpu: widths and window size must be positive (rob=%d fetch=%d issue=%d retire=%d)",
 			c.ROBEntries, c.FetchWidth, c.IssueWidth, c.RetireWidth)
 	}
+	if c.ROBEntries > math.MaxInt32 {
+		return simerr.New(simerr.ErrBadConfig, "cpu: ROBEntries %d exceeds %d", c.ROBEntries, math.MaxInt32)
+	}
 	if c.MemPorts <= 0 {
 		return simerr.New(simerr.ErrBadConfig, "cpu: MemPorts must be positive, got %d", c.MemPorts)
 	}
-	if c.StoreBufferEntries < 0 {
-		return simerr.New(simerr.ErrBadConfig, "cpu: StoreBufferEntries must be non-negative, got %d", c.StoreBufferEntries)
+	if c.StoreBufferEntries < 1 {
+		// A zero-entry buffer refuses every store forever while counting
+		// each refusal as work: the core would livelock.
+		return simerr.New(simerr.ErrBadConfig, "cpu: StoreBufferEntries must be at least 1, got %d", c.StoreBufferEntries)
 	}
 	if c.BranchPredictor != nil {
 		if err := c.BranchPredictor.Validate(); err != nil {
@@ -110,18 +118,24 @@ type Stats struct {
 	MSHRRejects           uint64
 }
 
-const (
-	stWaiting uint8 = iota
-	stDone          // issued; completes when doneAt is reached
-)
+// notIssued is the doneAt of an entry that has not issued yet: no cycle
+// reaches it, so "doneAt <= now" alone means "issued and complete".
+const notIssued = ^uint64(0)
+
+// noSlot ends a consumer list.
+const noSlot = -1
 
 type robEntry struct {
+	// in is the fetched instruction. For a branch, in.Mispredict holds
+	// its fate as decided at fetch (oracle flag or live predictor), for
+	// retirement statistics.
 	in     trace.Instr
 	doneAt uint64
-	state  uint8
-	// mispredicted records the branch's fate as decided at fetch
-	// (oracle flag or live predictor), for retirement statistics.
-	mispredicted bool
+	// firstCons heads the list of in-window entries that consume this
+	// entry's result; nextCons links this entry into its own producer's
+	// list. Both hold ROB slots (noSlot ends a list), so the lists live
+	// in the ring and need no allocation.
+	firstCons, nextCons int32
 }
 
 const noBranch = ^uint64(0)
@@ -129,15 +143,25 @@ const noBranch = ^uint64(0)
 // CPU is the core model. Drive it by calling Cycle with a monotonically
 // increasing cycle number until Finished reports true or an instruction
 // budget is met.
+//
+// Scheduling is wakeup-driven. Fetch resolves each entry's producer: an
+// entry whose operand is already available is marked ready at once, the
+// rest join their producer's consumer list. A completion wakes that list
+// into the ready bitset when its cycle arrives, and issue walks only the
+// ready bits, oldest first — the oldest-ready order of a full window
+// scan at O(ready) cost.
 type CPU struct {
 	cfg Config
 	mem MemSystem
 	src trace.Source
 
-	rob      []robEntry
+	rob []robEntry
+	// ready holds one bit per ROB slot, set while the slot holds an
+	// unissued entry whose operand is available. A load or store the
+	// memory side refuses keeps its bit and retries next cycle.
+	ready    []uint64
 	head     int
 	count    int
-	waiting  int    // entries in stWaiting, bounds the issue scan
 	headG    uint64 // global index of rob[head]
 	nextG    uint64 // global index of the next fetched instruction
 	srcDone  bool
@@ -148,34 +172,34 @@ type CPU struct {
 
 	predictor *bpred.Predictor
 
-	// events is a min-heap of pending completion cycles, letting the
-	// run loop skip stall cycles in which nothing can change.
+	// events is a min-heap of pending completions. It wakes consumers
+	// when a completion's cycle arrives and lets the run loop skip stall
+	// cycles in which nothing can change.
 	events  eventHeap
 	didWork bool
-
-	// firstWaitingG is a lower bound on the global index of the oldest
-	// stWaiting entry. During memory stalls the window head accumulates a
-	// long prefix of completed-but-unretirable entries; starting the issue
-	// scan at this cursor instead of the head skips that prefix. The bound
-	// is maintained monotonically: it only advances when a scan proves no
-	// waiting entry exists below the new value, and newly fetched entries
-	// always carry larger global indices.
-	firstWaitingG uint64
 
 	inMemStall bool
 	stats      Stats
 }
 
-// eventHeap is a plain binary min-heap of cycle numbers (inlined rather
-// than container/heap to keep the hot path allocation-free).
-type eventHeap []uint64
+// event is one pending completion: the cycle it lands and the ROB slot
+// of the completing entry.
+type event struct {
+	at   uint64
+	slot int32
+}
 
-func (h *eventHeap) push(v uint64) {
+// eventHeap is a plain binary min-heap of events ordered by cycle
+// (inlined rather than container/heap to keep the hot path
+// allocation-free).
+type eventHeap []event
+
+func (h *eventHeap) push(v event) {
 	*h = append(*h, v)
 	i := len(*h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*h)[parent] <= (*h)[i] {
+		if (*h)[parent].at <= (*h)[i].at {
 			break
 		}
 		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
@@ -192,10 +216,10 @@ func (h *eventHeap) pop() {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && old[l] < old[small] {
+		if l < n && old[l].at < old[small].at {
 			small = l
 		}
-		if r < n && old[r] < old[small] {
+		if r < n && old[r].at < old[small].at {
 			small = r
 		}
 		if small == i {
@@ -219,6 +243,7 @@ func New(cfg Config, mem MemSystem, src trace.Source) *CPU {
 		mem:      mem,
 		src:      src,
 		rob:      make([]robEntry, cfg.ROBEntries),
+		ready:    make([]uint64, readyWords(cfg.ROBEntries)),
 		blockedG: noBranch,
 	}
 	if cfg.BranchPredictor != nil {
@@ -227,11 +252,16 @@ func New(cfg Config, mem MemSystem, src trace.Source) *CPU {
 	return c
 }
 
+// readyWords is the length of the ready bitset for an n-entry window.
+func readyWords(n int) int { return (n + 63) / 64 }
+
 // Reset returns the core to just-built state executing src against mem,
-// recycling the ROB ring, store buffer and event-heap backings — the
-// arena's reuse contract. Stale ROB entries are safe to keep: fetch
-// fully overwrites a slot before any stage reads it. A configured
-// branch predictor is rebuilt fresh (its tables are run state).
+// recycling the ROB ring, ready bitset, store buffer and event-heap
+// backings — the arena's reuse contract. Stale ROB entries, consumer
+// links included, are safe to keep: fetch fully overwrites a slot before
+// any stage reads it, and a new entry only links to entries fetched
+// after it. The ready bits are cleared. A configured branch predictor
+// is rebuilt fresh (its tables are run state).
 func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -239,9 +269,12 @@ func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 	if mem == nil || src == nil {
 		panic(simerr.New(simerr.ErrBadConfig, "cpu: need a memory system and a source"))
 	}
-	rob := c.rob
+	rob, ready := c.rob, c.ready
 	if len(rob) != cfg.ROBEntries {
 		rob = make([]robEntry, cfg.ROBEntries)
+		ready = make([]uint64, readyWords(cfg.ROBEntries))
+	} else {
+		clear(ready)
 	}
 	var pred *bpred.Predictor
 	if cfg.BranchPredictor != nil {
@@ -252,6 +285,7 @@ func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 		mem:       mem,
 		src:       src,
 		rob:       rob,
+		ready:     ready,
 		blockedG:  noBranch,
 		storeDone: c.storeDone[:0],
 		events:    c.events[:0],
@@ -285,27 +319,34 @@ func (c *CPU) slot(g uint64) int {
 	return s
 }
 
-// depReady reports whether the entry's register dependence has resolved
-// by cycle now.
-func (c *CPU) depReady(e *robEntry, g uint64, now uint64) bool {
-	if e.in.Dep <= 0 {
-		return true
+func (c *CPU) setReady(s int) { c.ready[s>>6] |= 1 << (s & 63) }
+
+// wake marks every consumer of p ready and empties p's list.
+func (c *CPU) wake(p *robEntry) {
+	for s := p.firstCons; s != noSlot; s = c.rob[s].nextCons {
+		c.setReady(int(s))
 	}
-	if uint64(e.in.Dep) > g {
-		return true // dependence reaches before the first instruction
-	}
-	prodG := g - uint64(e.in.Dep)
-	if prodG < c.headG {
-		return true // producer already retired
-	}
-	p := &c.rob[c.slot(prodG)]
-	return p.state == stDone && p.doneAt <= now
+	p.firstCons = noSlot
 }
 
-// Cycle advances the core by one cycle: retire, drain the store buffer,
-// issue, fetch. It returns the number of instructions retired this cycle.
+// wakeDue pops every completion landed by cycle now and wakes its
+// consumers. The completing entry is still in the window: it retires no
+// earlier than the cycle its completion lands, and every cycle wakes
+// before it retires or fetches into a freed slot.
+func (c *CPU) wakeDue(now uint64) {
+	for len(c.events) > 0 && c.events[0].at <= now {
+		s := c.events[0].slot
+		c.events.pop()
+		c.wake(&c.rob[s])
+	}
+}
+
+// Cycle advances the core by one cycle: wake the consumers of landed
+// completions, retire, drain the store buffer, issue, fetch. It returns
+// the number of instructions retired this cycle.
 func (c *CPU) Cycle(now uint64) int {
 	c.didWork = false
+	c.wakeDue(now)
 	retired := c.retire(now)
 	if retired > 0 {
 		c.didWork = true
@@ -344,12 +385,9 @@ func (c *CPU) DidWork() bool { return c.didWork }
 // event is scheduled.
 func (c *CPU) NextEvent(now uint64) uint64 {
 	next := ^uint64(0)
-	for len(c.events) > 0 {
-		if t := c.events[0]; t > now {
-			next = t
-			break
-		}
-		c.events.pop()
+	c.wakeDue(now) // completions already due leave the heap, as in Cycle
+	if len(c.events) > 0 {
+		next = c.events[0].at
 	}
 	if c.blockedG != noBranch && c.resumeAt > now && c.resumeAt < next {
 		next = c.resumeAt
@@ -366,7 +404,7 @@ func (c *CPU) retire(now uint64) int {
 	retired := 0
 	for retired < c.cfg.RetireWidth && c.count > 0 {
 		e := &c.rob[c.head]
-		if e.state != stDone || e.doneAt > now {
+		if e.doneAt > now {
 			break
 		}
 		switch e.in.Kind {
@@ -376,7 +414,7 @@ func (c *CPU) retire(now uint64) int {
 			c.stats.Stores++
 		case trace.Branch:
 			c.stats.Branches++
-			if e.mispredicted {
+			if e.in.Mispredict {
 				c.stats.Mispredicts++
 			}
 		}
@@ -391,7 +429,7 @@ func (c *CPU) retire(now uint64) int {
 	}
 	if retired == 0 && c.count > 0 {
 		e := &c.rob[c.head]
-		if e.in.Kind.IsMem() && (e.state != stDone || e.doneAt > now) {
+		if e.in.Kind.IsMem() && e.doneAt > now {
 			c.stats.MemStallCycles++
 			if !c.inMemStall {
 				c.inMemStall = true
@@ -416,112 +454,113 @@ func (c *CPU) drainStores(now uint64) {
 	c.storeDone = out
 }
 
+// issue walks the ready bits in age order — slots [head, len) and then
+// the wrapped [0, head) — and stops after IssueWidth issues. Each step
+// re-reads the bitset word, so an entry woken by a zero-latency
+// completion earlier in the walk issues in the same cycle.
 func (c *CPU) issue(now uint64) {
-	if c.waiting == 0 {
-		return
-	}
-	issued, memIssued, seenWaiting := 0, 0, 0
-	toSee := c.waiting // snapshot: completions during the scan shrink c.waiting
-	// Start at the oldest possibly-waiting entry instead of the head: the
-	// cursor is a proven lower bound, so every skipped slot is known not
-	// to be stWaiting and the scan's outcome is unchanged.
-	start := 0
-	if c.firstWaitingG > c.headG {
-		start = int(c.firstWaitingG - c.headG)
-	}
-	slot := c.head + start
-	if slot >= len(c.rob) {
-		slot -= len(c.rob)
-	}
-	cursorSet := false
-	for i := start; i < c.count; i++ {
-		if issued >= c.cfg.IssueWidth || seenWaiting >= toSee {
-			break
-		}
-		e := &c.rob[slot]
-		slot++
-		if slot == len(c.rob) {
-			slot = 0
-		}
-		if e.state != stWaiting {
-			continue
-		}
-		if !cursorSet {
-			// First waiting entry this pass: everything older is done.
-			c.firstWaitingG = c.headG + uint64(i)
-			cursorSet = true
-		}
-		seenWaiting++
-		g := c.headG + uint64(i)
-		if !c.depReady(e, g, now) {
-			continue
-		}
-		switch e.in.Kind {
-		case trace.Int:
-			c.complete(e, now+c.cfg.IntLat)
-		case trace.Mul:
-			c.complete(e, now+c.cfg.MulLat)
-		case trace.FP:
-			c.complete(e, now+c.cfg.FPLat)
-		case trace.Div:
-			c.complete(e, now+c.cfg.DivLat)
-		case trace.Branch:
-			c.complete(e, now+1)
-			if c.blockedG == g {
-				// Branch resolved: fetch redirects after the
-				// minimum misprediction penalty.
-				c.resumeAt = e.doneAt + c.cfg.MispredictPenalty
-			}
-		case trace.Load:
-			if memIssued >= c.cfg.MemPorts {
+	issued, memIssued := 0, 0
+	lo, hi := c.head, len(c.rob)
+	for pass := 0; pass < 2; pass++ {
+		for s := lo; s < hi; {
+			w := c.ready[s>>6] >> (s & 63)
+			if w == 0 {
+				s = (s | 63) + 1
 				continue
 			}
-			memIssued++
-			done, ok := c.mem.Access(e.in.Addr, false, now)
-			if !ok {
-				// A rejected access still mutates state (reject counters,
-				// L2 probe stats), so the cycle counts as work: fast-forward
-				// must not skip retry cycles a burned loop would execute.
-				c.stats.MSHRRejects++
-				c.didWork = true
-				continue // retry on a later cycle
+			s += bits.TrailingZeros64(w)
+			if s >= hi {
+				break
 			}
-			c.complete(e, done)
-		case trace.Store:
-			if memIssued >= c.cfg.MemPorts {
-				continue
+			if c.issueOne(s, now, &memIssued) {
+				issued++
+				if issued >= c.cfg.IssueWidth {
+					return
+				}
 			}
-			if len(c.storeDone) >= c.cfg.StoreBufferEntries {
-				// The full-buffer event accrues per executed cycle, so the
-				// cycle counts as work for the same reason a reject does.
-				c.stats.StoreBufferFullEvents++
-				c.didWork = true
-				continue // window blocks only when the buffer is full
-			}
-			memIssued++
-			done, ok := c.mem.Access(e.in.Addr, true, now)
-			if !ok {
-				c.stats.MSHRRejects++
-				c.didWork = true
-				continue
-			}
-			// The store retires from the window immediately; the
-			// store buffer tracks the in-flight write.
-			c.storeDone = append(c.storeDone, done)
-			c.complete(e, now+1)
+			s++
 		}
-		if e.state == stDone {
-			issued++
-		}
+		lo, hi = 0, c.head
 	}
 }
 
-func (c *CPU) complete(e *robEntry, doneAt uint64) {
-	e.state = stDone
+// issueOne tries to issue the ready entry in slot s and reports whether
+// it did. A load or store refused for a port, the store buffer or the
+// MSHRs stays ready and retries on a later cycle.
+func (c *CPU) issueOne(s int, now uint64, memIssued *int) bool {
+	e := &c.rob[s]
+	switch e.in.Kind {
+	case trace.Int:
+		c.complete(s, now, now+c.cfg.IntLat)
+	case trace.Mul:
+		c.complete(s, now, now+c.cfg.MulLat)
+	case trace.FP:
+		c.complete(s, now, now+c.cfg.FPLat)
+	case trace.Div:
+		c.complete(s, now, now+c.cfg.DivLat)
+	case trace.Branch:
+		c.complete(s, now, now+1)
+		if c.blockedG != noBranch && c.slot(c.blockedG) == s {
+			// Branch resolved: fetch redirects after the minimum
+			// misprediction penalty.
+			c.resumeAt = e.doneAt + c.cfg.MispredictPenalty
+		}
+	case trace.Load:
+		if *memIssued >= c.cfg.MemPorts {
+			return false
+		}
+		*memIssued++
+		done, ok := c.mem.Access(e.in.Addr, false, now)
+		if !ok {
+			// A rejected access still mutates state (reject counters,
+			// L2 probe stats), so the cycle counts as work: fast-forward
+			// must not skip retry cycles a burned loop would execute.
+			c.stats.MSHRRejects++
+			c.didWork = true
+			return false
+		}
+		c.complete(s, now, done)
+	case trace.Store:
+		if *memIssued >= c.cfg.MemPorts {
+			return false
+		}
+		if len(c.storeDone) >= c.cfg.StoreBufferEntries {
+			// The full-buffer event accrues per executed cycle, so the
+			// cycle counts as work for the same reason a reject does.
+			c.stats.StoreBufferFullEvents++
+			c.didWork = true
+			return false // window blocks only when the buffer is full
+		}
+		*memIssued++
+		done, ok := c.mem.Access(e.in.Addr, true, now)
+		if !ok {
+			c.stats.MSHRRejects++
+			c.didWork = true
+			return false
+		}
+		// The store retires from the window immediately; the store
+		// buffer tracks the in-flight write.
+		c.storeDone = append(c.storeDone, done)
+		c.complete(s, now, now+1)
+	default:
+		return false // not an instruction class: never issues
+	}
+	return true
+}
+
+// complete issues the entry in slot s, landing at doneAt. A completion
+// due by now (a zero-latency unit) wakes its consumers at once, so they
+// issue later in this cycle's walk; any other joins the event heap.
+func (c *CPU) complete(s int, now, doneAt uint64) {
+	e := &c.rob[s]
 	e.doneAt = doneAt
-	c.waiting--
+	c.ready[s>>6] &^= 1 << (s & 63)
 	c.didWork = true
-	c.events.push(doneAt)
+	if doneAt <= now {
+		c.wake(e)
+		return
+	}
+	c.events.push(event{at: doneAt, slot: int32(s)})
 }
 
 // branchMispredicted decides a fetched branch's fate: a live predictor
@@ -557,25 +596,44 @@ func (c *CPU) fetch(now uint64) {
 			c.srcDone = true
 			return
 		}
-		c.rob[slot] = robEntry{in: in, state: stWaiting}
-		mispredicted := in.Kind == trace.Branch && c.branchMispredicted(in)
-		if mispredicted {
-			c.rob[slot].mispredicted = true
-		}
+		g := c.nextG
+		e := &c.rob[slot]
+		e.in = in
+		e.in.Mispredict = in.Kind == trace.Branch && c.branchMispredicted(in)
+		e.doneAt = notIssued
+		e.firstCons, e.nextCons = noSlot, noSlot
+		c.dispatch(slot, g, now)
 		slot++
 		if slot == len(c.rob) {
 			slot = 0
 		}
-		g := c.nextG
 		c.nextG++
 		c.count++
-		c.waiting++
 		c.didWork = true
-		if mispredicted {
+		if e.in.Mispredict {
 			// Stall-on-mispredict front end: no wrong path is
 			// fetched; fetch waits for the branch to resolve.
 			c.blockedG = g
 			return
 		}
 	}
+}
+
+// dispatch resolves the register dependence of the entry just fetched
+// into slot s (global index g). With no producer in the window — none at
+// all, one before the first instruction, or one already retired — or a
+// producer complete by now, the entry is ready at once. Otherwise it
+// joins the producer's consumer list and the producer's completion
+// wakes it.
+func (c *CPU) dispatch(s int, g, now uint64) {
+	e := &c.rob[s]
+	if d := uint64(e.in.Dep); e.in.Dep > 0 && d <= g && g-d >= c.headG {
+		p := &c.rob[c.slot(g-d)]
+		if p.doneAt > now {
+			e.nextCons = p.firstCons
+			p.firstCons = int32(s)
+			return
+		}
+	}
+	c.setReady(s)
 }

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"mlpcache/internal/faultinject"
 	"mlpcache/internal/simerr"
@@ -254,6 +256,29 @@ func TestPanicConvertsToErrInternal(t *testing.T) {
 	_, err := Run(cfg, microMix(2))
 	if !errors.Is(err, simerr.ErrInternal) {
 		t.Fatalf("panic not converted: %v", err)
+	}
+}
+
+// A zero-entry store buffer would refuse every store forever while
+// counting each refusal as work, so a run without a deadline would never
+// return. Both engines must refuse the configuration up front instead.
+func TestZeroStoreBufferFailsTyped(t *testing.T) {
+	stream := make([]trace.Instr, 2000)
+	for i := range stream {
+		if i%10 == 0 {
+			stream[i] = trace.Instr{Kind: trace.Store, Addr: uint64(i) * 64}
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.CPU.StoreBufferEntries = 0
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := RunContext(ctx, cfg, trace.NewSliceSource(stream)); !errors.Is(err, simerr.ErrBadConfig) {
+		t.Fatalf("Run: err = %v, want ErrBadConfig", err)
+	}
+	_, err := RunMultiContext(ctx, cfg, trace.NewSliceSource(stream), trace.NewSliceSource(stream))
+	if !errors.Is(err, simerr.ErrBadConfig) {
+		t.Fatalf("RunMulti: err = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command benchjson is the repo's performance-trajectory harness: it
-// runs the root package's benchmark suite (simulator throughput,
-// observability overhead, oracle headroom, trace generation and codec),
+// runs the root package's benchmark suite (simulator throughput, the
+// core model alone, observability overhead, oracle headroom, trace generation and codec),
 // parses the `go test -bench` text into a machine-readable document, and
 // gates regressions against a committed snapshot.
 //
@@ -65,7 +65,7 @@ import (
 
 // benchPattern selects the perf-trajectory suite; bench-smoke separately
 // guards that the observability and oracle benchmarks keep existing.
-const benchPattern = "BenchmarkSimulatorThroughput|BenchmarkMulticoreThroughput|BenchmarkParallelMulticore|BenchmarkArenaReuse|BenchmarkObservability|BenchmarkTracingV2|BenchmarkLearnedEviction|BenchmarkOracleHeadroom|BenchmarkGeneratorThroughput|BenchmarkTraceEncode|BenchmarkServiceThroughput"
+const benchPattern = "BenchmarkSimulatorThroughput|BenchmarkCPUIssue|BenchmarkMulticoreThroughput|BenchmarkParallelMulticore|BenchmarkArenaReuse|BenchmarkObservability|BenchmarkTracingV2|BenchmarkLearnedEviction|BenchmarkOracleHeadroom|BenchmarkGeneratorThroughput|BenchmarkTraceEncode|BenchmarkServiceThroughput"
 
 // The relational allocation gate: v2-traced runs must stay within this
 // factor of the untraced run's allocs/op (the binary tracer's Emit path
