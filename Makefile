@@ -30,10 +30,12 @@ race:
 # Short deterministic-ish fuzz smoke over the binary codecs: every
 # decoder (instruction traces, mlpcache.events/v2 event streams, and
 # mlpcache.model/v1 learned-model files) must survive arbitrary bytes,
-# and encode→decode must round-trip.
+# and encode→decode must round-trip. FuzzInterleaveRead checks the
+# batched Mix/Phases interleavers against a one-at-a-time reference.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceDecode -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime 5s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzInterleaveRead -fuzztime 5s
 	$(GO) test ./internal/metrics/ -run '^$$' -fuzz FuzzEventsV2Decode -fuzztime 5s
 	$(GO) test ./internal/learn/ -run '^$$' -fuzz FuzzModelDecode -fuzztime 5s
 
@@ -52,14 +54,14 @@ bench-smoke:
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
 
-# bench-record snapshots the perf-trajectory suite into BENCH_PR12.json
+# bench-record snapshots the perf-trajectory suite into BENCH_PR13.json
 # (instr/s, ns/op, allocs/op per benchmark; best of four passes). The
 # snapshot is committed so bench-compare has a fixed reference; any
 # pre_pr5_baseline / prior_baselines sections already in the file are
-# preserved, and BENCH_PR10.json is folded in as a prior baseline so
+# preserved, and BENCH_PR12.json is folded in as a prior baseline so
 # the cross-PR trajectory stays in one document.
 bench-record:
-	$(GO) run ./tools/benchjson -record -out BENCH_PR12.json -prior pr10=BENCH_PR10.json -count 4
+	$(GO) run ./tools/benchjson -record -out BENCH_PR13.json -prior pr12=BENCH_PR12.json -count 4
 
 # bench-compare re-runs the suite and fails on a >10% instr/s drop
 # relative to the suite-wide median ratio (host steal on a virtualized
@@ -74,7 +76,7 @@ bench-record:
 # both sides, so each benchmark's samples are spread across the run's
 # wall time.
 bench-compare:
-	$(GO) run ./tools/benchjson -compare -baseline BENCH_PR12.json -count 4
+	$(GO) run ./tools/benchjson -compare -baseline BENCH_PR13.json -count 4
 
 # loadtest-smoke fires a short chaos burst at an in-process sweep
 # service (tools/loadgen): every job must come back with a terminal

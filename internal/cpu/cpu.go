@@ -140,6 +140,10 @@ type robEntry struct {
 
 const noBranch = ^uint64(0)
 
+// fetchBufLen is how many instructions fetch reads from the source per
+// refill.
+const fetchBufLen = 256
+
 // CPU is the core model. Drive it by calling Cycle with a monotonically
 // increasing cycle number until Finished reports true or an instruction
 // budget is met.
@@ -154,6 +158,10 @@ type CPU struct {
 	cfg Config
 	mem MemSystem
 	src trace.Source
+	// fetchBuf[fetchPos:fetchLen] holds instructions read from src ahead
+	// of fetch, refilled fetchBufLen at a time through trace.Read.
+	fetchBuf           [fetchBufLen]trace.Instr
+	fetchPos, fetchLen int
 
 	rob []robEntry
 	// ready holds one bit per ROB slot, set while the slot holds an
@@ -591,15 +599,19 @@ func (c *CPU) fetch(now uint64) {
 		slot -= len(c.rob)
 	}
 	for f := 0; f < c.cfg.FetchWidth && c.count < len(c.rob) && !c.srcDone; f++ {
-		in, ok := c.src.Next()
-		if !ok {
-			c.srcDone = true
-			return
+		if c.fetchPos == c.fetchLen {
+			c.fetchLen = trace.Read(c.src, c.fetchBuf[:])
+			c.fetchPos = 0
+			if c.fetchLen == 0 {
+				c.srcDone = true
+				return
+			}
 		}
 		g := c.nextG
 		e := &c.rob[slot]
-		e.in = in
-		e.in.Mispredict = in.Kind == trace.Branch && c.branchMispredicted(in)
+		e.in = c.fetchBuf[c.fetchPos]
+		c.fetchPos++
+		e.in.Mispredict = e.in.Kind == trace.Branch && c.branchMispredicted(e.in)
 		e.doneAt = notIssued
 		e.firstCons, e.nextCons = noSlot, noSlot
 		c.dispatch(slot, g, now)

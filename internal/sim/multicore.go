@@ -645,21 +645,9 @@ func RunMultiContext(ctx context.Context, cfg Config, srcs ...trace.Source) (res
 	copy(orig, srcs)
 	limited := make([]trace.Source, cores)
 	for i, src := range srcs {
-		if cfg.MaxInstructions > 0 {
-			src = trace.NewLimit(src, int(cfg.MaxInstructions))
-		}
-		limited[i] = src
+		limited[i] = limitBudget(src, cfg.MaxInstructions)
 	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		if cfg.MaxInstructions > 0 {
-			// The single-core guard, scaled: contention can serialize the
-			// cores' miss chains, so each core gets the full allowance.
-			maxCycles = uint64(cores)*cfg.MaxInstructions*2048 + 1_000_000
-		} else {
-			maxCycles = 1 << 40
-		}
-	}
+	maxCycles := cycleGuard(cfg, cores)
 
 	l2, hybrid, err := buildL2(cfg, cores)
 	if err != nil {

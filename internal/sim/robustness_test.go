@@ -306,3 +306,38 @@ func TestConfigValidationRejects(t *testing.T) {
 		})
 	}
 }
+
+// A budget too large for the run's arithmetic must mean "no limit", not
+// a truncated run: at 2^63 and above the instruction limit used to turn
+// negative (nothing retired), and from 2^53 the derived cycle guard
+// wrapped to about a million cycles (an mcf stream stopped a third of
+// the way in). Either way the run returned no error. With the stream
+// finite, every budget here must retire all of it on both engines.
+func TestHugeBudgetRetiresWholeStream(t *testing.T) {
+	mcf, _ := workload.ByName("mcf")
+	art, _ := workload.ByName("art")
+	single := trace.Collect(mcf.Build(42), 200_000)
+	multi := [][]trace.Instr{trace.Collect(mcf.Build(7), 100_000), trace.Collect(art.Build(7), 100_000)}
+	for _, budget := range []uint64{1 << 53, 1 << 60, 1 << 63, ^uint64(0)} {
+		cfg := DefaultConfig()
+		cfg.MaxInstructions = budget
+		res, err := Run(cfg, trace.NewSliceSource(single))
+		if err != nil || res.Instructions != uint64(len(single)) {
+			t.Errorf("Run, budget %d: retired %d of %d, err %v", budget, res.Instructions, len(single), err)
+		}
+		for _, mode := range []ParallelMode{ParallelOff, ParallelOn} {
+			cfg.Parallel = mode
+			mres, err := RunMulti(cfg, trace.NewSliceSource(multi[0]), trace.NewSliceSource(multi[1]))
+			if err != nil {
+				t.Errorf("RunMulti %v, budget %d: %v", mode, budget, err)
+				continue
+			}
+			for i, c := range mres.Cores {
+				if c.Instructions != uint64(len(multi[i])) {
+					t.Errorf("RunMulti %v, budget %d: core %d retired %d of %d",
+						mode, budget, i, c.Instructions, len(multi[i]))
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"mlpcache/internal/audit"
 	"mlpcache/internal/bpred"
@@ -189,19 +191,8 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 		}
 	}()
 	orig := src
-	if cfg.MaxInstructions > 0 {
-		src = trace.NewLimit(src, int(cfg.MaxInstructions))
-	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		if cfg.MaxInstructions > 0 {
-			// Generous guard: even a pure chain of isolated misses
-			// retires one instruction per ~460 cycles.
-			maxCycles = cfg.MaxInstructions*2048 + 1_000_000
-		} else {
-			maxCycles = 1 << 40
-		}
-	}
+	src = limitBudget(src, cfg.MaxInstructions)
+	maxCycles := cycleGuard(cfg, 1)
 
 	l2, hybrid, err := buildL2(cfg, 1)
 	if err != nil {
@@ -370,6 +361,37 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 	cfg.Arena.release(mem)
 	cfg.Arena.putCPUs(c)
 	return res, nil
+}
+
+// limitBudget bounds src to a budget of n instructions (0 = unbounded).
+// A budget beyond the int range saturates instead of turning negative,
+// which would end the run before its first instruction.
+func limitBudget(src trace.Source, n uint64) trace.Source {
+	if n == 0 {
+		return src
+	}
+	return trace.NewLimit(src, int(min(n, math.MaxInt)))
+}
+
+// cycleGuard is the cycle limit of a run on the given number of cores:
+// cfg.MaxCycles when set, otherwise a generous 2048 cycles per budgeted
+// instruction and core plus 1M (even a pure chain of isolated misses
+// retires one instruction per ~460 cycles, and contention can serialize
+// the cores' miss chains). The allowance saturates at math.MaxInt64
+// instead of wrapping to a small limit that would cut the run short.
+func cycleGuard(cfg Config, cores int) uint64 {
+	if cfg.MaxCycles != 0 {
+		return cfg.MaxCycles
+	}
+	if cfg.MaxInstructions == 0 {
+		return 1 << 40
+	}
+	hi, lo := bits.Mul64(cfg.MaxInstructions, uint64(cores)*2048)
+	guard, carry := bits.Add64(lo, 1_000_000, 0)
+	if hi != 0 || carry != 0 || guard > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return guard
 }
 
 func statsOf(h core.Hybrid) core.HybridStats {

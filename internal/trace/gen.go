@@ -12,6 +12,7 @@ import "mlpcache/internal/simerr"
 
 // queued is a helper base for generators that naturally produce
 // instructions in batches. refill must append at least one instruction.
+// Its refill buffer doubles as the lookahead that Next drains.
 type queued struct {
 	buf    []Instr
 	pos    int
@@ -19,16 +20,32 @@ type queued struct {
 }
 
 func (q *queued) Next() (Instr, bool) {
-	if q.pos >= len(q.buf) {
-		q.buf = q.refill(q.buf[:0])
-		q.pos = 0
-		if len(q.buf) == 0 {
-			return Instr{}, false
-		}
+	if q.pos == len(q.buf) && !q.more() {
+		return Instr{}, false
 	}
 	in := q.buf[q.pos]
 	q.pos++
 	return in, true
+}
+
+func (q *queued) read(dst []Instr) int {
+	n := 0
+	for n < len(dst) {
+		if q.pos == len(q.buf) && !q.more() {
+			break
+		}
+		k := copy(dst[n:], q.buf[q.pos:])
+		q.pos += k
+		n += k
+	}
+	return n
+}
+
+// more refills the drained buffer and reports whether the stream goes on.
+func (q *queued) more() bool {
+	q.buf = q.refill(q.buf[:0])
+	q.pos = 0
+	return len(q.buf) > 0
 }
 
 // sameBlockTouches appends n loads to further words of the just-accessed
@@ -356,6 +373,48 @@ func (a *alternating) fill(buf []Instr) []Instr {
 	return fillerRun(buf, a.cfg.ChaseGap, a.rng, a.cfg.FPFrac, a.cfg.Mispredict)
 }
 
+// lookaheadLen is the batch an interleaver reads ahead of its callers'
+// Next calls.
+const lookaheadLen = 256
+
+// lookahead adapts a batch reader to Next: it holds instructions read
+// ahead of the caller, and the source's read drains it first so that
+// Next and read calls see one stream.
+type lookahead struct {
+	buf []Instr
+	pos int
+}
+
+// next serves one held instruction; it reports false when the buffer
+// is drained.
+func (l *lookahead) next() (Instr, bool) {
+	if l.pos == len(l.buf) {
+		return Instr{}, false
+	}
+	in := l.buf[l.pos]
+	l.pos++
+	return in, true
+}
+
+// refill reads the next batch through fill and serves its first
+// instruction. The buffer is allocated on first use, so a source that
+// is only ever read in batches never pays for it.
+func (l *lookahead) refill(fill func([]Instr) int) (Instr, bool) {
+	if l.buf == nil {
+		l.buf = make([]Instr, lookaheadLen)
+	}
+	l.buf = l.buf[:fill(l.buf[:cap(l.buf)])]
+	l.pos = 0
+	return l.next()
+}
+
+// drain copies held instructions into dst and returns how many.
+func (l *lookahead) drain(dst []Instr) int {
+	n := copy(dst, l.buf[l.pos:])
+	l.pos += n
+	return n
+}
+
 // depWindow is how many of a part's recent instructions an interleaver
 // remembers for dependence rewriting. Dependences reaching further back
 // are clamped to the oldest remembered instruction, which by then has
@@ -372,33 +431,39 @@ type part struct {
 	done  bool
 }
 
-// emit pulls one instruction from the part, rewrites its dependence
-// distance into the merged stream's coordinates, and records its position.
-func (p *part) emit(absIndex uint64) (Instr, bool) {
-	in, ok := p.src.Next()
-	if !ok {
+// read fills dst with the part's next instructions, which land at
+// absolute output indices abs, abs+1, ... in the merged stream. It
+// rewrites each dependence distance into the merged stream's
+// coordinates and records the positions. A result short of len(dst)
+// marks the part done.
+func (p *part) read(dst []Instr, abs uint64) int {
+	n := Read(p.src, dst)
+	if n < len(dst) {
 		p.done = true
-		return Instr{}, false
 	}
-	if in.Dep > 0 {
-		d := uint64(in.Dep)
-		switch {
-		case p.count == 0:
-			in.Dep = 0 // no producer exists yet
-		case d > p.count:
-			d = p.count
-			fallthrough
-		default:
-			if d > depWindow {
-				d = depWindow
+	for k := range dst[:n] {
+		in := &dst[k]
+		// A producer inside this batch sits as far back in the merged
+		// stream as in the part, so only older ones need the ring.
+		if d := uint64(in.Dep); in.Dep > 0 && (d > uint64(k) || d > depWindow) {
+			switch {
+			case p.count == 0:
+				in.Dep = 0 // no producer exists yet
+			case d > p.count:
+				d = p.count
+				fallthrough
+			default:
+				if d > depWindow {
+					d = depWindow
+				}
+				producer := p.ring[(p.count-d)%depWindow]
+				in.Dep = int32(abs + uint64(k) - producer)
 			}
-			producer := p.ring[(p.count-d)%depWindow]
-			in.Dep = int32(absIndex - producer)
 		}
+		p.ring[p.count%depWindow] = abs + uint64(k)
+		p.count++
 	}
-	p.ring[p.count%depWindow] = absIndex
-	p.count++
-	return in, true
+	return n
 }
 
 // MixPart is one weighted component of a Mix.
@@ -414,13 +479,16 @@ type MixPart struct {
 }
 
 type mix struct {
-	parts  []part
-	meta   []MixPart
-	rng    *RNG
-	total  float64
+	parts []part
+	meta  []MixPart
+	rng   *RNG
+	// live is the summed weight of the parts not yet done, re-summed in
+	// part order whenever one ends.
+	live   float64
 	abs    uint64
 	cur    int
 	remain int
+	la     lookahead
 }
 
 // NewMix interleaves the parts, selecting a part for each chunk with
@@ -441,41 +509,57 @@ func NewMix(seed uint64, parts ...MixPart) Source {
 		}
 		m.meta[i] = parts[i]
 		m.parts[i] = part{src: parts[i].Src}
-		m.total += parts[i].Weight
+		m.live += parts[i].Weight
 	}
 	return m
 }
 
 func (m *mix) Next() (Instr, bool) {
-	for tries := 0; tries < len(m.parts)+1; tries++ {
+	if in, ok := m.la.next(); ok {
+		return in, true
+	}
+	return m.la.refill(m.fill)
+}
+
+func (m *mix) read(dst []Instr) int {
+	n := m.la.drain(dst)
+	return n + m.fill(dst[n:])
+}
+
+// fill copies one whole chunk per pick, or as much of it as dst holds.
+func (m *mix) fill(dst []Instr) int {
+	n := 0
+	for n < len(dst) {
 		if m.remain == 0 {
 			m.pick()
 			if m.remain == 0 {
-				return Instr{}, false // all parts exhausted
+				break // all parts exhausted
 			}
 		}
-		in, ok := m.parts[m.cur].emit(m.abs)
-		if ok {
-			m.remain--
-			m.abs++
-			return in, true
+		p := &m.parts[m.cur]
+		want := min(m.remain, len(dst)-n)
+		got := p.read(dst[n:n+want], m.abs)
+		n += got
+		m.abs += uint64(got)
+		m.remain -= got
+		if p.done {
+			m.remain = 0
+			m.live = 0
+			for i := range m.parts {
+				if !m.parts[i].done {
+					m.live += m.meta[i].Weight
+				}
+			}
 		}
-		m.remain = 0
 	}
-	return Instr{}, false
+	return n
 }
 
 func (m *mix) pick() {
-	live := 0.0
-	for i := range m.parts {
-		if !m.parts[i].done {
-			live += m.meta[i].Weight
-		}
-	}
-	if live == 0 {
+	if m.live == 0 {
 		return
 	}
-	x := m.rng.Float64() * live
+	x := m.rng.Float64() * m.live
 	for i := range m.parts {
 		if m.parts[i].done {
 			continue
@@ -508,20 +592,23 @@ type Phase struct {
 type phases struct {
 	parts  []part
 	lens   []int
+	live   int // parts not yet done
 	cur    int
 	remain int
 	abs    uint64
+	la     lookahead
 }
 
 // NewPhases cycles through the given phases for ever: Len instructions
 // from phase 0, then Len from phase 1, and so on, wrapping around. It is
 // how the ammp model expresses its alternating LIN-friendly and
-// LRU-friendly program phases.
+// LRU-friendly program phases. A phase whose source ends is skipped
+// from then on.
 func NewPhases(ps ...Phase) Source {
 	if len(ps) == 0 {
 		panic(simerr.New(simerr.ErrBadConfig, "trace: Phases needs at least one phase"))
 	}
-	g := &phases{}
+	g := &phases{live: len(ps)}
 	for _, p := range ps {
 		if p.Len <= 0 {
 			panic(simerr.New(simerr.ErrBadConfig, "trace: Phase.Len must be positive, got %d", p.Len))
@@ -534,23 +621,37 @@ func NewPhases(ps ...Phase) Source {
 }
 
 func (g *phases) Next() (Instr, bool) {
-	for tries := 0; tries <= len(g.parts); tries++ {
+	if in, ok := g.la.next(); ok {
+		return in, true
+	}
+	return g.la.refill(g.fill)
+}
+
+func (g *phases) read(dst []Instr) int {
+	n := g.la.drain(dst)
+	return n + g.fill(dst[n:])
+}
+
+func (g *phases) fill(dst []Instr) int {
+	n := 0
+	for n < len(dst) && g.live > 0 {
 		if g.remain == 0 {
 			g.cur = (g.cur + 1) % len(g.parts)
 			g.remain = g.lens[g.cur]
 		}
-		if g.parts[g.cur].done {
+		p := &g.parts[g.cur]
+		if p.done {
 			g.remain = 0
 			continue
 		}
-		in, ok := g.parts[g.cur].emit(g.abs)
-		if !ok {
+		got := p.read(dst[n:n+min(g.remain, len(dst)-n)], g.abs)
+		n += got
+		g.abs += uint64(got)
+		g.remain -= got
+		if p.done {
 			g.remain = 0
-			continue
+			g.live--
 		}
-		g.remain--
-		g.abs++
-		return in, true
 	}
-	return Instr{}, false
+	return n
 }

@@ -73,6 +73,32 @@ type Source interface {
 	Next() (Instr, bool)
 }
 
+// batchReader is the batch form of Source that this package's sources
+// implement: read fills dst and returns fewer than len(dst) only at end
+// of stream. A source's Next and read draw on one stream, so calls to
+// the two may be mixed.
+type batchReader interface {
+	read(dst []Instr) int
+}
+
+// Read fills dst from src and returns how many instructions it wrote,
+// fewer than len(dst) only at end of stream. Sources built by this
+// package fill dst in one batch; any other Source is drained through
+// Next.
+func Read(src Source, dst []Instr) int {
+	if b, ok := src.(batchReader); ok {
+		return b.read(dst)
+	}
+	for i := range dst {
+		in, ok := src.Next()
+		if !ok {
+			return i
+		}
+		dst[i] = in
+	}
+	return len(dst)
+}
+
 // SliceSource replays a fixed slice of instructions once.
 type SliceSource struct {
 	instrs []Instr
@@ -94,21 +120,20 @@ func (s *SliceSource) Next() (Instr, bool) {
 	return in, true
 }
 
+func (s *SliceSource) read(dst []Instr) int {
+	n := copy(dst, s.instrs[s.pos:])
+	s.pos += n
+	return n
+}
+
 // Reset rewinds the source to the beginning of the slice.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Collect drains up to n instructions from src into a new slice. It stops
 // early if the source ends.
 func Collect(src Source, n int) []Instr {
-	out := make([]Instr, 0, n)
-	for len(out) < n {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, in)
-	}
-	return out
+	out := make([]Instr, n)
+	return out[:Read(src, out)]
 }
 
 // Limit wraps src so that at most n instructions are produced.
@@ -135,6 +160,20 @@ func (l *Limit) Next() (Instr, bool) {
 	return in, true
 }
 
+// read never asks src for more than the instructions left, so nothing
+// past the limit is generated.
+func (l *Limit) read(dst []Instr) int {
+	if len(dst) > l.left {
+		dst = dst[:max(l.left, 0)]
+	}
+	n := Read(l.src, dst)
+	l.left -= n
+	if n < len(dst) {
+		l.left = 0
+	}
+	return n
+}
+
 // Concat yields every instruction of each source in turn.
 type Concat struct {
 	srcs []Source
@@ -154,6 +193,17 @@ func (c *Concat) Next() (Instr, bool) {
 		c.srcs = c.srcs[1:]
 	}
 	return Instr{}, false
+}
+
+func (c *Concat) read(dst []Instr) int {
+	n := 0
+	for len(c.srcs) > 0 && n < len(dst) {
+		n += Read(c.srcs[0], dst[n:])
+		if n < len(dst) {
+			c.srcs = c.srcs[1:]
+		}
+	}
+	return n
 }
 
 // Addresses returns the sequence of data-memory block numbers touched by
