@@ -43,25 +43,25 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-smoke runs the core-model, observability, tracing, oracle,
-# multi-core, learned-eviction, parallel-engine and arena benchmarks
+# multi-core (2 and 4 cores), learned-eviction and arena benchmarks
 # once each and fails if any stops being selected — a renamed or deleted
 # benchmark silently vanishes from `go test -bench`, so the output is
 # grepped for each name.
 bench-smoke:
-	@out="$$($(GO) test -bench 'BenchmarkCPUIssue|BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkParallelMulticore|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
+	@out="$$($(GO) test -bench 'BenchmarkCPUIssue|BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
 	echo "$$out"; \
-	for name in BenchmarkCPUIssue/l1 BenchmarkCPUIssue/mem BenchmarkObservability BenchmarkTracingV2 BenchmarkOracleHeadroom BenchmarkMulticoreThroughput BenchmarkLearnedEviction BenchmarkParallelMulticore BenchmarkArenaReuse; do \
+	for name in BenchmarkCPUIssue/l1 BenchmarkCPUIssue/mem BenchmarkObservability BenchmarkTracingV2 BenchmarkOracleHeadroom BenchmarkMulticoreThroughput/2core BenchmarkMulticoreThroughput/4core BenchmarkLearnedEviction BenchmarkArenaReuse; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
 
-# bench-record snapshots the perf-trajectory suite into BENCH_PR13.json
+# bench-record snapshots the perf-trajectory suite into BENCH_PR14.json
 # (instr/s, ns/op, allocs/op per benchmark; best of four passes). The
 # snapshot is committed so bench-compare has a fixed reference; any
 # pre_pr5_baseline / prior_baselines sections already in the file are
-# preserved, and BENCH_PR12.json is folded in as a prior baseline so
+# preserved, and BENCH_PR13.json is folded in as a prior baseline so
 # the cross-PR trajectory stays in one document.
 bench-record:
-	$(GO) run ./tools/benchjson -record -out BENCH_PR13.json -prior pr12=BENCH_PR12.json -count 4
+	$(GO) run ./tools/benchjson -record -out BENCH_PR14.json -prior pr13=BENCH_PR13.json -count 4
 
 # bench-compare re-runs the suite and fails on a >10% instr/s drop
 # relative to the suite-wide median ratio (host steal on a virtualized
@@ -69,14 +69,13 @@ bench-record:
 # drops *away from the pack* indicate a code regression), a >20%
 # allocs/op growth against the committed snapshot, a v2-traced run
 # allocating more than 2x an untraced one, a learned-policy run
-# allocating more than 1.5x the LRU baseline, a 4-core parallel run
-# slower than serial on a 4+-CPU host, or an arena-reused run
+# allocating more than 1.5x the LRU baseline, or an arena-reused run
 # allocating more than 0.5x a cold one (see docs/PERFORMANCE.md for
 # the contract). Part of tier1. Best-of-4 separate suite passes on
 # both sides, so each benchmark's samples are spread across the run's
 # wall time.
 bench-compare:
-	$(GO) run ./tools/benchjson -compare -baseline BENCH_PR13.json -count 4
+	$(GO) run ./tools/benchjson -compare -baseline BENCH_PR14.json -count 4
 
 # loadtest-smoke fires a short chaos burst at an in-process sweep
 # service (tools/loadgen): every job must come back with a terminal

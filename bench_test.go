@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,54 +376,28 @@ func BenchmarkCPUIssue(b *testing.B) {
 	}
 }
 
-// BenchmarkMulticoreThroughput drives the contended two-core engine —
-// mcf and art sharing the L2, each retiring the full per-core budget —
-// and reports aggregate instructions simulated per wall-clock second.
-// Compare against BenchmarkSimulatorThroughput to price the sharer
-// bookkeeping (per-core MSHR files, the sharer bitmask, the shared
-// fill heap); bench-compare gates it like every other instr/s figure.
+// multicore4Instructions is the per-core budget of the 4-core leg:
+// smaller than benchInstructions because it retires four budgets per
+// iteration.
+const multicore4Instructions = 750_000
+
+// BenchmarkMulticoreThroughput drives the contended multi-core run
+// loop and reports aggregate instructions simulated per wall-clock
+// second. "2core" runs mcf and art sharing the L2, each retiring the
+// full per-core budget; compare it against BenchmarkSimulatorThroughput
+// to price the sharer bookkeeping (per-core MSHR files, the sharer
+// bitmask, the shared fill heap). "4core" runs the mcf, art, parser and
+// equake mix. bench-compare gates both like every other instr/s figure.
 func BenchmarkMulticoreThroughput(b *testing.B) {
-	mcf, _ := workload.ByName("mcf")
-	art, _ := workload.ByName("art")
-	var total uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig()
-		cfg.MaxInstructions = benchInstructions
-		cfg.Parallel = sim.ParallelOff // serial baseline; the engines race in BenchmarkParallelMulticore
-		res, err := sim.RunMulti(cfg, mcf.Build(42), art.Build(43))
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += res.Instructions()
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instr/s")
-}
-
-// parallelBenchInstructions is the per-core budget for the engine race:
-// smaller than benchInstructions because the 4-core serial leg retires
-// four budgets per iteration.
-const parallelBenchInstructions = 750_000
-
-// BenchmarkParallelMulticore races the parallel wavefront engine
-// against the serial interleave on the same heterogeneous mix at 2 and
-// 4 cores, reporting aggregate instr/s plus the host's CPU count.
-// bench-compare's relational gate requires parallel4 >= serial4 when
-// the recorded cpus figure is at least 4 — the engines compute
-// bit-identical results (see docs/MULTICORE.md), so on a wide host the
-// parallel one must pay for its barriers with wall-clock wins.
-func BenchmarkParallelMulticore(b *testing.B) {
-	benches := []string{"mcf", "art", "parser", "equake"}
-	run := func(b *testing.B, cores int, mode sim.ParallelMode) {
+	run := func(b *testing.B, benches []string, perCore uint64) {
 		var total uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg := sim.DefaultConfig()
-			cfg.MaxInstructions = parallelBenchInstructions
-			cfg.Parallel = mode
-			srcs := make([]trace.Source, cores)
-			for c := 0; c < cores; c++ {
-				spec, _ := workload.ByName(benches[c%len(benches)])
+			cfg.MaxInstructions = perCore
+			srcs := make([]trace.Source, len(benches))
+			for c, name := range benches {
+				spec, _ := workload.ByName(name)
 				srcs[c] = spec.Build(42 + uint64(c))
 			}
 			res, err := sim.RunMulti(cfg, srcs...)
@@ -434,16 +407,15 @@ func BenchmarkParallelMulticore(b *testing.B) {
 			total += res.Instructions()
 		}
 		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instr/s")
-		b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 	}
-	b.Run("serial2", func(b *testing.B) { run(b, 2, sim.ParallelOff) })
-	b.Run("parallel2", func(b *testing.B) { run(b, 2, sim.ParallelOn) })
-	b.Run("serial4", func(b *testing.B) { run(b, 4, sim.ParallelOff) })
-	b.Run("parallel4", func(b *testing.B) { run(b, 4, sim.ParallelOn) })
+	b.Run("2core", func(b *testing.B) { run(b, []string{"mcf", "art"}, benchInstructions) })
+	b.Run("4core", func(b *testing.B) {
+		run(b, []string{"mcf", "art", "parser", "equake"}, multicore4Instructions)
+	})
 }
 
 // BenchmarkArenaReuse prices zero-rebuild simulation arenas on the
-// two-core engine: cold builds every cache, MSHR file, blockmap table
+// two-core run loop: cold builds every cache, MSHR file, blockmap table
 // and fill heap per run; reused draws them from a warmed arena and only
 // pays for reset-in-place. bench-compare's relational gate requires the
 // reused leg's allocs/op to stay at or below half the cold leg's.
@@ -453,7 +425,6 @@ func BenchmarkArenaReuse(b *testing.B) {
 	run := func(b *testing.B, arena *sim.Arena) {
 		cfg := sim.DefaultConfig()
 		cfg.MaxInstructions = 200_000
-		cfg.Parallel = sim.ParallelOff
 		cfg.Arena = arena
 		runOnce := func() {
 			if _, err := sim.RunMulti(cfg, mcf.Build(42), art.Build(43)); err != nil {

@@ -55,6 +55,25 @@ func runTool(t *testing.T, dir, tool string, args ...string) string {
 	return string(out)
 }
 
+// mustFailCleanly runs a built tool from dir and requires the failure
+// contract: a non-zero exit with a diagnostic, never a Go panic trace.
+// It returns the combined output.
+func mustFailCleanly(t *testing.T, dir, tool string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(dir, tool), args...)
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("%s %v: expected non-zero exit\n%s", tool, args, out)
+	}
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("%s %v: did not run: %v", tool, args, err)
+	}
+	if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine ") {
+		t.Fatalf("%s %v: panic escaped to the user:\n%s", tool, args, out)
+	}
+	return string(out)
+}
+
 func TestCLIEndToEnd(t *testing.T) {
 	dir := buildTools(t)
 
@@ -122,31 +141,15 @@ func TestCLIEndToEnd(t *testing.T) {
 
 	// Failure paths: every bad input must produce a one-line diagnostic
 	// and a non-zero exit — never a Go panic trace.
-	mustFailCleanly := func(t *testing.T, tool string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(dir, tool), args...)
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("%s %v: expected non-zero exit\n%s", tool, args, out)
-		}
-		if _, ok := err.(*exec.ExitError); !ok {
-			t.Fatalf("%s %v: did not run: %v", tool, args, err)
-		}
-		if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine ") {
-			t.Fatalf("%s %v: panic escaped to the user:\n%s", tool, args, out)
-		}
-		return string(out)
-	}
-
 	t.Run("mlpsim-bad-policy-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf", "-policy", "belady", "-n", "1000")
+		out := mustFailCleanly(t, dir, "mlpsim", "-bench", "mcf", "-policy", "belady", "-n", "1000")
 		if !strings.Contains(out, "belady") {
 			t.Fatalf("diagnostic does not name the bad policy:\n%s", out)
 		}
 	})
 
 	t.Run("mlpsim-missing-trace-fails", func(t *testing.T) {
-		mustFailCleanly(t, "mlpsim", "-trace", filepath.Join(dir, "no-such.trace"))
+		mustFailCleanly(t, dir, "mlpsim", "-trace", filepath.Join(dir, "no-such.trace"))
 	})
 
 	t.Run("mlpsim-corrupt-trace-fails", func(t *testing.T) {
@@ -154,65 +157,38 @@ func TestCLIEndToEnd(t *testing.T) {
 		if err := os.WriteFile(bad, []byte("MLPT\x01\x07\x07\x07"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out := mustFailCleanly(t, "mlpsim", "-trace", bad, "-hist=false")
+		out := mustFailCleanly(t, dir, "mlpsim", "-trace", bad, "-hist=false")
 		if !strings.Contains(out, "corrupt") && !strings.Contains(out, "invalid kind") {
 			t.Fatalf("diagnostic does not describe the corruption:\n%s", out)
 		}
 	})
 
 	t.Run("mlpexp-unknown-experiment-fails", func(t *testing.T) {
-		mustFailCleanly(t, "mlpexp", "-run", "fig99")
+		mustFailCleanly(t, dir, "mlpexp", "-run", "fig99")
 	})
 
 	t.Run("mlptrace-missing-file-fails", func(t *testing.T) {
-		mustFailCleanly(t, "mlptrace", "-stats", filepath.Join(dir, "absent.trace"))
+		mustFailCleanly(t, dir, "mlptrace", "-stats", filepath.Join(dir, "absent.trace"))
 	})
 
 	t.Run("mlpsim-oracle-multicore-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf,art",
+		out := mustFailCleanly(t, dir, "mlpsim", "-bench", "mcf,art",
 			"-cores", "2", "-oracle", "-n", "1000")
 		if !strings.Contains(out, "-oracle") || !strings.Contains(out, "-cores") {
 			t.Fatalf("diagnostic does not name the conflicting flags:\n%s", out)
 		}
 	})
 
-	t.Run("mlpsim-parallel-single-core-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf",
-			"-parallel", "on", "-n", "1000")
-		if !strings.Contains(out, "-parallel on") || !strings.Contains(out, "-cores") {
-			t.Fatalf("diagnostic does not name the conflicting flags:\n%s", out)
-		}
-		if strings.Count(strings.TrimSpace(out), "\n") > 1 {
-			t.Fatalf("diagnostic is not a one-liner:\n%s", out)
-		}
-	})
-
-	t.Run("mlpsim-parallel-audit-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf,art", "-cores", "2",
-			"-parallel", "on", "-audit", "-n", "1000")
-		if !strings.Contains(out, "-parallel on") || !strings.Contains(out, "-audit") {
-			t.Fatalf("diagnostic does not name the conflicting flags:\n%s", out)
-		}
-	})
-
-	t.Run("mlpsim-parallel-bad-mode-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf,art", "-cores", "2",
-			"-parallel", "sometimes", "-n", "1000")
-		if !strings.Contains(out, "sometimes") {
-			t.Fatalf("diagnostic does not echo the bad mode:\n%s", out)
-		}
-	})
-
-	t.Run("mlpsim-parallel-matches-serial", func(t *testing.T) {
-		// The determinism contract at the process boundary: the forced
-		// parallel engine must print byte-identical reports to the serial
-		// interleave.
-		args := []string{"-bench", "mcf,art", "-cores", "2", "-policy", "sbar",
-			"-n", "60000", "-hist=false"}
-		serial := runTool(t, dir, "mlpsim", append([]string{"-parallel", "off"}, args...)...)
-		par := runTool(t, dir, "mlpsim", append([]string{"-parallel", "on"}, args...)...)
-		if par != serial {
-			t.Fatalf("parallel report diverges from serial:\nserial:\n%s\nparallel:\n%s", serial, par)
+	t.Run("mlpsim-cores-below-one-fails", func(t *testing.T) {
+		for _, n := range []string{"0", "-3"} {
+			out := mustFailCleanly(t, dir, "mlpsim", "-bench", "mcf", "-cores", n, "-n", "1000")
+			if !strings.Contains(out, "-cores must be at least 1") || strings.Count(strings.TrimSpace(out), "\n") > 0 {
+				t.Fatalf("-cores %s: want a one-line diagnostic naming the bound:\n%s", n, out)
+			}
+			code := exec.Command(filepath.Join(dir, "mlpsim"), "-cores", n, "-n", "1000").Run()
+			if ee, ok := code.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+				t.Fatalf("-cores %s: want exit status 2, got %v", n, code)
+			}
 		}
 	})
 
@@ -534,22 +510,6 @@ func TestCLILearned(t *testing.T) {
 		}
 	})
 
-	mustFailCleanly := func(t *testing.T, tool string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(dir, tool), args...)
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("%s %v: expected non-zero exit\n%s", tool, args, out)
-		}
-		if _, ok := err.(*exec.ExitError); !ok {
-			t.Fatalf("%s %v: did not run: %v", tool, args, err)
-		}
-		if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine ") {
-			t.Fatalf("%s %v: panic escaped to the user:\n%s", tool, args, out)
-		}
-		return string(out)
-	}
-
 	t.Run("corrupt-model-fails", func(t *testing.T) {
 		raw, err := os.ReadFile(model)
 		if err != nil {
@@ -565,7 +525,7 @@ func TestCLILearned(t *testing.T) {
 			{"mlptrain", "-inspect", bad},
 			{"mlpsim", "-bench", "mcf", "-policy", "learned", "-model", bad, "-n", "1000"},
 		} {
-			out := mustFailCleanly(t, argv[0], argv[1:]...)
+			out := mustFailCleanly(t, dir, argv[0], argv[1:]...)
 			if !strings.Contains(out, "model") {
 				t.Fatalf("%v: diagnostic does not mention the model file:\n%s", argv, out)
 			}
@@ -584,13 +544,13 @@ func TestCLILearned(t *testing.T) {
 		if err := os.WriteFile(short, raw[:16], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mustFailCleanly(t, "mlptrain", "-inspect", short)
-		mustFailCleanly(t, "mlpsim", "-bench", "mcf", "-policy", "learned",
+		mustFailCleanly(t, dir, "mlptrain", "-inspect", short)
+		mustFailCleanly(t, dir, "mlpsim", "-bench", "mcf", "-policy", "learned",
 			"-model", short, "-n", "1000")
 	})
 
 	t.Run("missing-model-fails", func(t *testing.T) {
-		mustFailCleanly(t, "mlpsim", "-bench", "mcf", "-policy", "learned",
+		mustFailCleanly(t, dir, "mlpsim", "-bench", "mcf", "-policy", "learned",
 			"-model", filepath.Join(dir, "absent.model"), "-n", "1000")
 	})
 }
@@ -773,22 +733,6 @@ func TestCLIEventsV2(t *testing.T) {
 
 	// Failure paths: a corrupted v2 file must produce a one-line typed
 	// diagnostic and exit 1 — never a panic.
-	mustFailCleanly := func(t *testing.T, tool string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(dir, tool), args...)
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("%s %v: expected non-zero exit\n%s", tool, args, out)
-		}
-		if _, ok := err.(*exec.ExitError); !ok {
-			t.Fatalf("%s %v: did not run: %v", tool, args, err)
-		}
-		if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine ") {
-			t.Fatalf("%s %v: panic escaped to the user:\n%s", tool, args, out)
-		}
-		return string(out)
-	}
-
 	good, err := os.ReadFile(v2)
 	if err != nil {
 		t.Fatal(err)
@@ -799,7 +743,7 @@ func TestCLIEventsV2(t *testing.T) {
 		if err := os.WriteFile(bad, faultinject.Truncate(good, 10), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out := mustFailCleanly(t, "mlptrace", "-events", bad, "-decode")
+		out := mustFailCleanly(t, dir, "mlptrace", "-events", bad, "-decode")
 		if !strings.Contains(out, "mlptrace:") {
 			t.Fatalf("diagnostic not one-line prefixed:\n%s", out)
 		}
@@ -828,14 +772,14 @@ func TestCLIEventsV2(t *testing.T) {
 	})
 
 	t.Run("not-a-v2-file-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlptrace", "-events", v1, "-decode")
+		out := mustFailCleanly(t, dir, "mlptrace", "-events", v1, "-decode")
 		if !strings.Contains(out, "magic") {
 			t.Fatalf("diagnostic does not mention the bad magic:\n%s", out)
 		}
 	})
 
 	t.Run("bad-format-flag-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf", "-n", "1000",
+		out := mustFailCleanly(t, dir, "mlpsim", "-bench", "mcf", "-n", "1000",
 			"-trace-events", filepath.Join(dir, "x.bin"), "-trace-events-format", "v3")
 		if !strings.Contains(out, "v3") {
 			t.Fatalf("diagnostic does not name the bad format:\n%s", out)
@@ -843,7 +787,7 @@ func TestCLIEventsV2(t *testing.T) {
 	})
 
 	t.Run("snapshot-without-trace-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf", "-n", "1000",
+		out := mustFailCleanly(t, dir, "mlpsim", "-bench", "mcf", "-n", "1000",
 			"-snapshot-interval", "500")
 		if !strings.Contains(out, "trace-events") {
 			t.Fatalf("diagnostic does not point at -trace-events:\n%s", out)
@@ -1114,24 +1058,8 @@ func hasFlag(argv []string, flag string) bool {
 // one-line typed diagnostic and exit 1, never a panic or a hang.
 func TestCLITimeout(t *testing.T) {
 	dir := buildTools(t)
-	mustFailCleanly := func(t *testing.T, tool string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(dir, tool), args...)
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("%s %v: expected non-zero exit\n%s", tool, args, out)
-		}
-		if _, ok := err.(*exec.ExitError); !ok {
-			t.Fatalf("%s %v: did not run: %v", tool, args, err)
-		}
-		if strings.Contains(string(out), "panic:") || strings.Contains(string(out), "goroutine ") {
-			t.Fatalf("%s %v: panic escaped to the user:\n%s", tool, args, out)
-		}
-		return string(out)
-	}
-
 	t.Run("mlpsim", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf", "-n", "80000000",
+		out := mustFailCleanly(t, dir, "mlpsim", "-bench", "mcf", "-n", "80000000",
 			"-timeout", "100ms", "-hist=false")
 		if !strings.Contains(out, "cancelled") {
 			t.Fatalf("diagnostic does not say cancelled:\n%s", out)
@@ -1139,7 +1067,7 @@ func TestCLITimeout(t *testing.T) {
 	})
 
 	t.Run("mlpexp", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpexp", "-run", "tab3", "-n", "80000000",
+		out := mustFailCleanly(t, dir, "mlpexp", "-run", "tab3", "-n", "80000000",
 			"-bench", "mcf", "-timeout", "100ms")
 		if !strings.Contains(out, "cancelled") {
 			t.Fatalf("diagnostic does not say cancelled:\n%s", out)

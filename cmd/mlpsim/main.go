@@ -3,9 +3,7 @@
 // statistics the paper's experiments are built from. With -cores N it
 // runs N cores — each with its own L1, MSHR file and workload from the
 // comma-separated -bench mix — sharing the contended L2, and reports
-// per-core plus aggregate statistics (see docs/MULTICORE.md). Multi-core
-// runs execute on the parallel wavefront engine when -parallel allows it
-// (default auto); parallel and serial results are bit-identical.
+// per-core plus aggregate statistics (see docs/MULTICORE.md).
 //
 // Reports go to stdout; telemetry goes to files: -json swaps the text
 // report for a machine-readable one (schema "mlpcache.run/v1"), -metrics
@@ -24,7 +22,6 @@
 //	mlpsim -bench mcf -json -metrics out.jsonl -trace-events ev.jsonl
 //	mlpsim -bench mcf -trace-events ev.bin -trace-events-format v2 -snapshot-interval 250000
 //	mlpsim -bench mcf,art -cores 2 -policy sbar -n 2000000
-//	mlpsim -bench mcf,art -cores 4 -parallel on -n 2000000
 //	mlpsim -bench mcf -policy lru -oracle
 //	mlpsim -bench mcf -policy bandit
 //	mlpsim -bench mcf -policy learned -model mcf.model
@@ -55,7 +52,6 @@ func main() {
 	var (
 		bench       = flag.String("bench", "mcf", "benchmark model to run (see -list); with -cores N, a comma-separated mix (last entry repeats)")
 		cores       = flag.Int("cores", 1, "cores sharing the contended L2 (multi-core mode when >1; core i seeds its model with seed+i)")
-		parallelStr = flag.String("parallel", "auto", "multi-core engine: auto (parallel when eligible and >1 CPU), on (force; error if ineligible), off (serial interleave); results are bit-identical either way")
 		policy      = flag.String("policy", "lru", "replacement policy: lru|fifo|random|nmru|lin|sbar|cbs-local|cbs-global|bandit|learned")
 		modelPath   = flag.String("model", "", "trained model file for -policy learned (mlptrain output; empty: untrained default, behaves like LRU)")
 		lambda      = flag.Int("lambda", 4, "LIN λ (also used inside SBAR/CBS)")
@@ -108,26 +104,11 @@ func main() {
 		os.Exit(code)
 	}
 
-	var parallelMode sim.ParallelMode
-	switch *parallelStr {
-	case "auto":
-		parallelMode = sim.ParallelAuto
-	case "on":
-		parallelMode = sim.ParallelOn
-	case "off":
-		parallelMode = sim.ParallelOff
-	default:
-		fatal(2, "-parallel must be auto, on or off (got %q)", *parallelStr)
+	if *cores < 1 {
+		fatal(2, "-cores must be at least 1 (got %d)", *cores)
 	}
-	if parallelMode == sim.ParallelOn {
-		// Fail these fast with a flag-level diagnostic instead of
-		// surfacing sim.ErrBadConfig after workload construction.
-		switch {
-		case *cores <= 1:
-			fatal(2, "-parallel on needs -cores > 1 (the parallel engine schedules cores, not a single stream)")
-		case *auditFlag:
-			fatal(2, "-parallel on does not support -audit (the auditor walks shared state mid-quantum)")
-		}
+	if *cores > sim.MaxCores {
+		fatal(2, "-cores must be at most %d", sim.MaxCores)
 	}
 
 	var (
@@ -137,8 +118,6 @@ func main() {
 	benchLabel := *bench
 	if *cores > 1 {
 		switch {
-		case *cores > sim.MaxCores:
-			fatal(2, "-cores must be at most %d", sim.MaxCores)
 		case *traceFile != "":
 			fatal(2, "-cores does not support -trace replay")
 		case *oracleFlag:
@@ -212,7 +191,6 @@ func main() {
 		cfg.CPU.BranchPredictor = &bcfg
 	}
 	cfg.Audit = *auditFlag
-	cfg.Parallel = parallelMode
 
 	var (
 		eventsFile *os.File

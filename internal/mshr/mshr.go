@@ -247,16 +247,18 @@ func (m *MSHR) Allocate(block uint64, demand bool, cycle uint64) (primary, full 
 // Tick advances the cost calculation logic by one cycle (Algorithm 1's
 // update_mlp_cost). cycle is the current cycle number, used by the
 // adder-sharing approximation.
+//
+// Exact mode needs no per-cycle work: the cost clock advances lazily at
+// allocate/free events, so Tick is a check the caller's loop inlines and
+// only the adder-sharing approximation pays for a call.
 func (m *MSHR) Tick(cycle uint64) {
-	if m.demand == 0 {
-		return
+	if m.demand != 0 && !m.Exact() {
+		m.tickAdders(cycle)
 	}
-	if m.Exact() {
-		// Exact mode needs no per-cycle work: the cost clock advances
-		// lazily at allocate/free events. (Calling Tick is still
-		// harmless.)
-		return
-	}
+}
+
+// tickAdders is the adder-sharing approximation's per-cycle update.
+func (m *MSHR) tickAdders(cycle uint64) {
 	share := 1 / float64(m.demand)
 	// Time-shared adders: visit up to Adders valid entries round-robin,
 	// crediting each with the cycles elapsed since its last visit at the

@@ -233,45 +233,11 @@ type Config struct {
 	// Faults, when non-nil and active, injects the described faults
 	// (deterministic, seeded) into the run. See faultinject.Plan.
 	Faults *faultinject.Plan
-	// Parallel selects the multi-core execution engine: ParallelAuto
-	// (the default) runs the wavefront-parallel engine when the run is
-	// eligible and more than one OS thread is available, ParallelOn
-	// forces it (erroring when the run is ineligible), ParallelOff
-	// forces the serial interleave. Both engines produce bit-identical
-	// MultiResults (docs/MULTICORE.md); single-core runs ignore it.
-	Parallel ParallelMode
 	// Arena, when non-nil, recycles the run's bulk allocations — cache
 	// line arrays, blockmap tables, MSHR files, fill heaps and
 	// freelists — across runs. An Arena is not goroutine-safe: give
 	// each worker its own (docs/PERFORMANCE.md "Simulation arenas").
 	Arena *Arena
-}
-
-// ParallelMode selects how RunMulti schedules its cores.
-type ParallelMode int
-
-// Parallel engine selection for Config.Parallel.
-const (
-	// ParallelAuto picks the parallel engine when the run is eligible
-	// (2+ cores, exact MSHR mode, no auditing or epochs) and
-	// GOMAXPROCS > 1; otherwise it runs the serial interleave.
-	ParallelAuto ParallelMode = iota
-	// ParallelOff forces the serial interleave.
-	ParallelOff
-	// ParallelOn forces the parallel engine; ineligible runs fail with
-	// simerr.ErrBadConfig instead of silently degrading.
-	ParallelOn
-)
-
-func (m ParallelMode) String() string {
-	switch m {
-	case ParallelOff:
-		return "off"
-	case ParallelOn:
-		return "on"
-	default:
-		return "auto"
-	}
 }
 
 // Validate checks the whole machine configuration, wrapping every
@@ -303,9 +269,6 @@ func (c Config) Validate() error {
 		if err := c.Faults.Validate(); err != nil {
 			return fmt.Errorf("sim: faults: %w", err)
 		}
-	}
-	if c.Parallel < ParallelAuto || c.Parallel > ParallelOn {
-		return simerr.New(simerr.ErrBadConfig, "sim: unknown parallel mode %d", int(c.Parallel))
 	}
 	spec := c.Policy
 	if !spec.Kind.Known() {

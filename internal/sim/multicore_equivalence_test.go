@@ -7,12 +7,12 @@ import (
 	"mlpcache/internal/workload"
 )
 
-// TestMulticoreSingleCoreEquivalence is the multi-core engine's
-// correctness anchor: a one-core RunMulti must reproduce the single-core
-// engine's Result bit for bit — cycles, IPC, every counter block, the
-// cost histogram and the Table 1 deltas — across the audited policy
-// sweep. The two run loops are written to have identical cycle
-// structure; this test keeps them that way.
+// TestMulticoreSingleCoreEquivalence is the multi-core projection's
+// correctness anchor: a one-core RunMulti must reproduce Run's Result
+// bit for bit — cycles, IPC, every counter block, the cost histogram and
+// the Table 1 deltas — across the audited policy sweep. Both entry
+// points drive one run loop; this test keeps their projections onto
+// Result and MultiResult in agreement.
 func TestMulticoreSingleCoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is a long test")
@@ -54,8 +54,8 @@ func TestMulticoreSingleCoreEquivalence(t *testing.T) {
 				}
 				// Reassemble the multi-core result in the single-core
 				// Result's shape; every shared field must match exactly.
-				// The auditors run different checker sets, so the audit
-				// reports are excluded.
+				// Both audit reports were checked clean above and are
+				// excluded.
 				c0 := multi.Cores[0]
 				got := Result{
 					Policy:       multi.Policy,

@@ -261,7 +261,7 @@ func TestPanicConvertsToErrInternal(t *testing.T) {
 
 // A zero-entry store buffer would refuse every store forever while
 // counting each refusal as work, so a run without a deadline would never
-// return. Both engines must refuse the configuration up front instead.
+// return. Run and RunMulti must refuse the configuration up front instead.
 func TestZeroStoreBufferFailsTyped(t *testing.T) {
 	stream := make([]trace.Instr, 2000)
 	for i := range stream {
@@ -312,7 +312,7 @@ func TestConfigValidationRejects(t *testing.T) {
 // negative (nothing retired), and from 2^53 the derived cycle guard
 // wrapped to about a million cycles (an mcf stream stopped a third of
 // the way in). Either way the run returned no error. With the stream
-// finite, every budget here must retire all of it on both engines.
+// finite, every budget here must retire all of it on one core and on two.
 func TestHugeBudgetRetiresWholeStream(t *testing.T) {
 	mcf, _ := workload.ByName("mcf")
 	art, _ := workload.ByName("art")
@@ -325,18 +325,14 @@ func TestHugeBudgetRetiresWholeStream(t *testing.T) {
 		if err != nil || res.Instructions != uint64(len(single)) {
 			t.Errorf("Run, budget %d: retired %d of %d, err %v", budget, res.Instructions, len(single), err)
 		}
-		for _, mode := range []ParallelMode{ParallelOff, ParallelOn} {
-			cfg.Parallel = mode
-			mres, err := RunMulti(cfg, trace.NewSliceSource(multi[0]), trace.NewSliceSource(multi[1]))
-			if err != nil {
-				t.Errorf("RunMulti %v, budget %d: %v", mode, budget, err)
-				continue
-			}
-			for i, c := range mres.Cores {
-				if c.Instructions != uint64(len(multi[i])) {
-					t.Errorf("RunMulti %v, budget %d: core %d retired %d of %d",
-						mode, budget, i, c.Instructions, len(multi[i]))
-				}
+		mres, err := RunMulti(cfg, trace.NewSliceSource(multi[0]), trace.NewSliceSource(multi[1]))
+		if err != nil {
+			t.Errorf("RunMulti, budget %d: %v", budget, err)
+			continue
+		}
+		for i, c := range mres.Cores {
+			if c.Instructions != uint64(len(multi[i])) {
+				t.Errorf("RunMulti, budget %d: core %d retired %d of %d", budget, i, c.Instructions, len(multi[i]))
 			}
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"mlpcache/internal/core"
 	"mlpcache/internal/cpu"
 	"mlpcache/internal/dram"
-	"mlpcache/internal/faultinject"
 	"mlpcache/internal/learn"
 	"mlpcache/internal/mshr"
 	"mlpcache/internal/simerr"
@@ -154,8 +153,9 @@ func Run(cfg Config, src trace.Source) (Result, error) {
 
 // RunContext executes the instruction source on the configured machine
 // until MaxInstructions retire, the source drains, the cycle guard
-// trips, or ctx is done. Cancellation is cooperative: the run loop polls
-// ctx.Done every cancelCheckCycles simulated cycles and returns a
+// trips, or ctx is done. It is the machine's one run loop with a single
+// core, projected onto Result. Cancellation is cooperative: the run loop
+// polls ctx.Done every cancelCheckCycles simulated cycles and returns a
 // wrapped simerr.ErrCancelled (which also matches the context's cause
 // under errors.Is) with an empty Result. A background context costs one
 // parked-threshold compare per cycle.
@@ -168,21 +168,43 @@ func Run(cfg Config, src trace.Source) (Result, error) {
 // yield simerr.ErrInvariant alongside the partial Result. Any panic
 // escaping the machine's internals is converted to a wrapped
 // simerr.ErrInternal rather than unwinding into the caller.
-func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, err error) {
+func RunContext(ctx context.Context, cfg Config, src trace.Source) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	done := ctx.Done()
-	if done != nil {
+	return simulate(ctx, cfg, []trace.Source{src}, (*machine).result)
+}
+
+// machine is one run: the memory hierarchy, one core per source, and
+// what the run loop accumulates.
+type machine struct {
+	cfg     Config
+	mem     *memHierarchy
+	hybrid  core.Hybrid
+	cpus    []*cpu.CPU
+	now     uint64 // the final cycle
+	series  *SeriesSet
+	auditor *audit.Auditor
+	report  *audit.Report
+}
+
+// simulate builds the machine for a validated configuration, runs it and
+// projects it onto the caller's result type. It is the one boundary every
+// run shares: the cancel-before-start check, the recover-to-ErrInternal
+// conversion, the deferred source-error check, the audit report, and the
+// return of the machine's components to the arena.
+func simulate[R any](ctx context.Context, cfg Config, srcs []trace.Source, project func(*machine) R) (res R, err error) {
+	if done := ctx.Done(); done != nil {
 		select {
 		case <-done:
-			return Result{}, simerr.Wrap(simerr.ErrCancelled, ctx.Err(), "sim: run cancelled before start")
+			return res, simerr.Wrap(simerr.ErrCancelled, ctx.Err(), "sim: run cancelled before start")
 		default:
 		}
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			res = Result{}
+			var zero R
+			res = zero
 			if e, ok := r.(error); ok {
 				err = simerr.Wrap(simerr.ErrInternal, e, "sim: panic during run")
 			} else {
@@ -190,28 +212,62 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 			}
 		}
 	}()
-	orig := src
-	src = limitBudget(src, cfg.MaxInstructions)
-	maxCycles := cycleGuard(cfg, 1)
-
-	l2, hybrid, err := buildL2(cfg, 1)
+	m, err := build(cfg, srcs)
 	if err != nil {
-		return Result{}, err
+		return res, err
 	}
-	var inj *faultinject.Injector
-	if cfg.Faults != nil && cfg.Faults.Active() {
-		inj = faultinject.NewInjector(*cfg.Faults)
+	if err := m.run(ctx); err != nil {
+		return res, err
 	}
-	mem := newMemSystem(cfg, l2, hybrid, inj)
-	c := cfg.Arena.getCPU(cfg.CPU, mem, src)
-	var auditor *audit.Auditor
-	if cfg.Audit {
-		auditor = buildAuditor(cfg, mem, hybrid)
+	if m.auditor != nil {
+		m.auditor.CheckNow(m.now)
+		m.report = m.auditor.Report()
 	}
+	res = project(m)
+	for _, s := range srcs {
+		if es, ok := s.(interface{ Err() error }); ok {
+			if err := es.Err(); err != nil {
+				return res, err
+			}
+		}
+	}
+	if m.report != nil {
+		if err := m.report.Err(); err != nil {
+			return res, err
+		}
+	}
+	// The result is fully assembled (stats copied by value, histograms
+	// kept — the arena never pools them), so the machine's bulk
+	// components can go back to the pool for the next run.
+	cfg.Arena.release(m.mem)
+	cfg.Arena.putCPUs(m.cpus...)
+	return res, nil
+}
 
-	var ser *SeriesSet
+// build constructs the machine: the shared L2 and its replacement
+// engine, the memory hierarchy with one port per source, one core per
+// port, and the optional auditor and interval series.
+func build(cfg Config, srcs []trace.Source) (*machine, error) {
+	cores := len(srcs)
+	l2, hybrid, err := buildL2(cfg, cores)
+	if err != nil {
+		return nil, err
+	}
+	mem := newMemHierarchy(cfg, l2, hybrid, cores)
+	m := &machine{
+		cfg:    cfg,
+		mem:    mem,
+		hybrid: hybrid,
+		cpus:   make([]*cpu.CPU, cores),
+	}
+	for i, src := range srcs {
+		m.cpus[i] = cfg.Arena.getCPU(cfg.CPU, mem.ports[i], limitBudget(src, cfg.MaxInstructions))
+	}
+	if cfg.Audit {
+		m.auditor = buildAuditor(cfg, mem, hybrid)
+	}
 	if cfg.SampleInterval > 0 {
-		ser = &SeriesSet{
+		m.series = &SeriesSet{
 			AvgCostQ:      stats.Series{Name: "avg-costq-per-miss"},
 			MPKI:          stats.Series{Name: "mpki"},
 			IPC:           stats.Series{Name: "ipc"},
@@ -220,10 +276,22 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 			MSHROccupancy: stats.Series{Name: "mshr-occupancy"},
 		}
 	}
+	return m, nil
+}
 
+// run is the cycle loop: memory tick, per-core CPU cycles in core order,
+// the MSHR throttle, audit, interval series, snapshots, epoch, finish
+// check and stall fast-forward. Each core retires up to MaxInstructions
+// from its own source; the cores' own Retired counters hold the per-core
+// totals.
+func (m *machine) run(ctx context.Context) error {
+	cfg, mem, hybrid, cpus := &m.cfg, m.mem, m.hybrid, m.cpus
+	auditor, series := m.auditor, m.series
+	maxCycles := cycleGuard(m.cfg, len(cpus))
+	done := ctx.Done()
 	var (
 		now         uint64
-		retired     uint64
+		retired     uint64 // total across cores, for the sample and epoch schedules
 		nextSample  = cfg.SampleInterval
 		sampleCycle uint64
 		nextEpoch   = cfg.EpochInstructions
@@ -245,49 +313,31 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 		if now >= nextCancel {
 			select {
 			case <-done:
-				return Result{}, simerr.Wrap(simerr.ErrCancelled, ctx.Err(),
-					fmt.Sprintf("sim: run cancelled at cycle %d", now))
+				return simerr.Wrap(simerr.ErrCancelled, ctx.Err(), fmt.Sprintf("sim: run cancelled at cycle %d", now))
 			default:
 			}
 			nextCancel = now + cancelCheckCycles
 		}
 		if err := mem.Tick(now); err != nil {
-			return Result{}, err
+			return err
 		}
-		retired += uint64(c.Cycle(now))
-		if capacity, due := inj.ThrottleDue(retired); due {
-			if err := mem.mshr.SetCapacity(capacity); err != nil {
-				return Result{}, err
+		anyWork := false
+		for _, c := range cpus {
+			retired += uint64(c.Cycle(now))
+			if c.DidWork() {
+				anyWork = true
+			}
+		}
+		if capacity, due := mem.inj.ThrottleDue(retired); due {
+			if err := mem.throttle(capacity); err != nil {
+				return err
 			}
 		}
 		if auditor != nil {
 			auditor.MaybeCheck(now)
 		}
-
-		if ser != nil && retired >= nextSample {
-			misses, costQSum := mem.takeInterval()
-			intInstr := cfg.SampleInterval
-			intCycles := now - sampleCycle
-			if intCycles > 0 {
-				ser.IPC.Add(retired, float64(intInstr)/float64(intCycles))
-			}
-			ser.MPKI.Add(retired, 1000*float64(misses)/float64(intInstr))
-			avg := 0.0
-			if misses > 0 {
-				avg = float64(costQSum) / float64(misses)
-			}
-			ser.AvgCostQ.Add(retired, avg)
-			if hybrid != nil {
-				v := 0.0
-				if hybrid.UsingLIN(1) {
-					v = 1.0
-				}
-				ser.UsingLIN.Add(retired, v)
-				if psel, ok := pselValueOf(hybrid); ok {
-					ser.PselValue.Add(retired, float64(psel))
-				}
-			}
-			ser.MSHROccupancy.Add(retired, float64(mem.mshr.Len()))
+		if series != nil && retired >= nextSample {
+			m.sample(now, retired, now-sampleCycle)
 			sampleCycle = now
 			nextSample += cfg.SampleInterval
 		}
@@ -299,68 +349,108 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 			hybrid.AdvanceEpoch()
 			nextEpoch += cfg.EpochInstructions
 		}
-		if c.Finished() && !mem.drainInflight() {
+		if mem.fills.Len() == 0 && finished(cpus) {
 			break
 		}
-		// Fast-forward through stall cycles: when the core made no
-		// progress this cycle, nothing can change until its next
-		// completion event or the next DRAM fill.
-		if !c.DidWork() && !cfg.DisableFastForward {
-			wake := c.NextEvent(now)
-			if nf := mem.nextFill(); nf < wake {
-				wake = nf
+		// Fast-forward through stall cycles: when no core made progress
+		// this cycle, nothing changes until the earliest completion event
+		// across the cores or the next DRAM fill.
+		if !anyWork && !cfg.DisableFastForward {
+			wake := mem.nextFill()
+			for _, c := range cpus {
+				if w := c.NextEvent(now); w < wake {
+					wake = w
+				}
 			}
 			if wake == ^uint64(0) {
 				break // wedged: nothing in flight, nothing to do
 			}
 			if wake > now+1 {
-				c.NoteSkipped(wake - now - 1)
+				for _, c := range cpus {
+					c.NoteSkipped(wake - now - 1)
+				}
 				now = wake - 1
 			}
 		}
 	}
+	m.now = now
+	return nil
+}
 
-	res = Result{
-		Policy:       cfg.Policy.String(),
-		Instructions: retired,
-		Cycles:       now,
+// finished reports whether every core has drained its source and window.
+func finished(cpus []*cpu.CPU) bool {
+	for _, c := range cpus {
+		if !c.Finished() {
+			return false
+		}
+	}
+	return true
+}
+
+// sample appends one Figure 11 point per series: the interval's IPC over
+// intCycles, MPKI and mean quantized cost, plus the selector state and
+// MSHR occupancy at the boundary.
+func (m *machine) sample(now, retired, intCycles uint64) {
+	ser, mem := m.series, m.mem
+	misses, costQSum := mem.takeInterval()
+	intInstr := m.cfg.SampleInterval
+	if intCycles > 0 {
+		ser.IPC.Add(retired, float64(intInstr)/float64(intCycles))
+	}
+	ser.MPKI.Add(retired, 1000*float64(misses)/float64(intInstr))
+	avg := 0.0
+	if misses > 0 {
+		avg = float64(costQSum) / float64(misses)
+	}
+	ser.AvgCostQ.Add(retired, avg)
+	if m.hybrid != nil {
+		v := 0.0
+		if m.hybrid.UsingLIN(1) {
+			v = 1.0
+		}
+		ser.UsingLIN.Add(retired, v)
+		if psel, ok := pselValueOf(m.hybrid); ok {
+			ser.PselValue.Add(retired, float64(psel))
+		}
+	}
+	ser.MSHROccupancy.Add(retired, float64(mem.occupancy()))
+}
+
+// result projects a one-core machine onto Result.
+func (m *machine) result() Result {
+	p, c, mem := m.mem.ports[0], m.cpus[0], m.mem
+	res := Result{
+		Policy:       m.cfg.Policy.String(),
+		Instructions: c.Stats().Retired,
+		Cycles:       m.now,
 		CPU:          c.Stats(),
 		Bpred:        c.PredictorStats(),
-		L1:           mem.l1.Stats(),
+		L1:           p.l1.Stats(),
 		L2:           mem.l2.Stats(),
 		DRAM:         mem.dram.Stats(),
-		Mem:          mem.statsSnapshot(),
-		MSHR:         mem.mshr.Stats(),
+		Mem:          mem.totals(),
+		MSHR:         p.mshr.Stats(),
 		CostHist:     mem.costHist,
 		Delta:        mem.delta,
-		Series:       ser,
+		Hybrid:       m.hybridStats(),
+		Learn:        learnStatsOf(mem.l2.Policy()),
+		Series:       m.series,
+		Audit:        m.report,
 	}
-	if now > 0 {
-		res.IPC = float64(retired) / float64(now)
+	if m.now > 0 {
+		res.IPC = float64(res.Instructions) / float64(m.now)
 	}
-	if hybrid != nil {
-		hs := statsOf(hybrid)
-		res.Hybrid = &hs
+	return res
+}
+
+// hybridStats returns the hybrid engine's selection counters, or nil
+// when a fixed policy ran.
+func (m *machine) hybridStats() *core.HybridStats {
+	if m.hybrid == nil {
+		return nil
 	}
-	res.Learn = learnStatsOf(l2.Policy())
-	if s, ok := orig.(interface{ Err() error }); ok {
-		if err := s.Err(); err != nil {
-			return res, err
-		}
-	}
-	if auditor != nil {
-		auditor.CheckNow(now)
-		res.Audit = auditor.Report()
-		if err := res.Audit.Err(); err != nil {
-			return res, err
-		}
-	}
-	// The result is fully assembled (stats copied by value, histograms
-	// kept — the arena never pools them), so the machine's bulk
-	// components can go back to the pool for the next run.
-	cfg.Arena.release(mem)
-	cfg.Arena.putCPUs(c)
-	return res, nil
+	hs := statsOf(m.hybrid)
+	return &hs
 }
 
 // limitBudget bounds src to a budget of n instructions (0 = unbounded).

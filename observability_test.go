@@ -190,16 +190,13 @@ func multicoreRegistry(t testing.TB) *metrics.Registry {
 	return res.Metrics()
 }
 
-// parallelRegistry returns the registry of the covering parallel run —
-// a two-core mix executed by the wavefront engine (mlpsim -parallel on)
-// drawing from a warmed arena — so the sim.parallel.* family registers
-// from MultiResult.Parallel and the arena.* recycling family from
-// ArenaStats.Observe, exactly as mlpsim composes them.
-func parallelRegistry(t testing.TB) *metrics.Registry {
+// arenaRegistry returns the registry of a two-core run drawing from an
+// arena, with the arena's recycling counters observed into it, so the
+// arena.* family registers from ArenaStats.Observe.
+func arenaRegistry(t testing.TB) *metrics.Registry {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.MaxInstructions = 60_000
-	cfg.Parallel = sim.ParallelOn
 	cfg.Arena = sim.NewArena()
 	var srcs []trace.Source
 	for i, bench := range []string{"mcf", "art"} {
@@ -212,9 +209,6 @@ func parallelRegistry(t testing.TB) *metrics.Registry {
 	res, err := sim.RunMulti(cfg, srcs...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Parallel == nil {
-		t.Fatal("forced parallel run reported no ParallelStats")
 	}
 	reg := res.Metrics()
 	cfg.Arena.Stats().Observe(reg)
@@ -281,9 +275,8 @@ func TestMetricCatalogMatchesEmission(t *testing.T) {
 	for _, s := range multicoreRegistry(t).Samples() {
 		emitted[s.Name] = s.Kind
 	}
-	// The parallel engine (mlpsim -parallel on) and arena recycling
-	// families: sim.parallel.* and arena.*.
-	for _, s := range parallelRegistry(t).Samples() {
+	// The arena recycling family: arena.*.
+	for _, s := range arenaRegistry(t).Samples() {
 		emitted[s.Name] = s.Kind
 	}
 

@@ -65,7 +65,7 @@ import (
 
 // benchPattern selects the perf-trajectory suite; bench-smoke separately
 // guards that the observability and oracle benchmarks keep existing.
-const benchPattern = "BenchmarkSimulatorThroughput|BenchmarkCPUIssue|BenchmarkMulticoreThroughput|BenchmarkParallelMulticore|BenchmarkArenaReuse|BenchmarkObservability|BenchmarkTracingV2|BenchmarkLearnedEviction|BenchmarkOracleHeadroom|BenchmarkGeneratorThroughput|BenchmarkTraceEncode|BenchmarkServiceThroughput"
+const benchPattern = "BenchmarkSimulatorThroughput|BenchmarkCPUIssue|BenchmarkMulticoreThroughput|BenchmarkArenaReuse|BenchmarkObservability|BenchmarkTracingV2|BenchmarkLearnedEviction|BenchmarkOracleHeadroom|BenchmarkGeneratorThroughput|BenchmarkTraceEncode|BenchmarkServiceThroughput"
 
 // The relational allocation gate: v2-traced runs must stay within this
 // factor of the untraced run's allocs/op (the binary tracer's Emit path
@@ -86,18 +86,6 @@ const (
 	learnedAllocsFactor = 1.5
 )
 
-// The parallel-engine gate: the wavefront engine computes bit-identical
-// results, so on a host wide enough to exploit it (the recorded cpus
-// figure at least parallelMinCPUs) the 4-core parallel leg must match
-// or beat the serial interleave's throughput. On narrower hosts the
-// comparison is reported but not gated — there is no parallelism to
-// win. Judged on the current run, like every relational gate.
-const (
-	parallelSerial4Bench   = "BenchmarkParallelMulticore/serial4"
-	parallelParallel4Bench = "BenchmarkParallelMulticore/parallel4"
-	parallelMinCPUs        = 4
-)
-
 // The arena gate: a run drawing caches, MSHR files, core models and
 // blockmap tables from a warmed arena must allocate at most this
 // fraction of a cold run's allocs/op. Allocation counts are
@@ -116,9 +104,9 @@ type Sample struct {
 	MBPerSec    float64 `json:"mb_per_s,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// CPUs records the host's CPU count as reported by the benchmark
-	// itself (the parallel suite emits it), so relational gates that
-	// need hardware parallelism can disarm on narrow hosts.
+	// CPUs is the host's CPU count as a benchmark reported it. No
+	// current benchmark emits it; the field keeps older snapshots'
+	// figures intact when they are folded into prior_baselines.
 	CPUs float64 `json:"cpus,omitempty"`
 }
 
@@ -438,26 +426,6 @@ func doCompare(baseline string, count int, benchtime string, threshold, allocThr
 			fmt.Fprintf(os.Stderr, "%-45s allocs/op %12.0f vs %9.0f lru (gate %.1fx) ok\n",
 				name, pol.AllocsPerOp, lruRun.AllocsPerOp, learnedAllocsFactor)
 		}
-	}
-	// The parallel engine must win (or tie) the 4-core race when the host
-	// has hardware parallelism to offer; on narrow hosts the figure is
-	// informational.
-	ser4, haveSer4 := current[parallelSerial4Bench]
-	par4, havePar4 := current[parallelParallel4Bench]
-	switch {
-	case !haveSer4 || !havePar4:
-		failures = append(failures, fmt.Sprintf(
-			"%s/%s: parallel-engine benchmarks missing from the suite", parallelSerial4Bench, parallelParallel4Bench))
-	case par4.CPUs >= parallelMinCPUs && par4.InstrPerSec < ser4.InstrPerSec:
-		failures = append(failures, fmt.Sprintf(
-			"%s: instr/s %.0f behind serial %.0f on a %.0f-CPU host (gate: parallel >= serial at %d+ CPUs)",
-			parallelParallel4Bench, par4.InstrPerSec, ser4.InstrPerSec, par4.CPUs, parallelMinCPUs))
-	case par4.CPUs >= parallelMinCPUs:
-		fmt.Fprintf(os.Stderr, "%-45s instr/s %12.0f vs %9.0f serial (%.0f CPUs) ok\n",
-			parallelParallel4Bench, par4.InstrPerSec, ser4.InstrPerSec, par4.CPUs)
-	default:
-		fmt.Fprintf(os.Stderr, "%-45s instr/s %12.0f vs %9.0f serial (%.0f CPUs; gate needs %d+) info\n",
-			parallelParallel4Bench, par4.InstrPerSec, ser4.InstrPerSec, par4.CPUs, parallelMinCPUs)
 	}
 	// The arena's whole point is allocation recycling: the reused leg
 	// must allocate at most half of the cold leg, judged on the current

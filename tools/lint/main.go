@@ -8,9 +8,9 @@
 //     so godoc always says which part of the paper a package models.
 //     Additionally, every `learn.*` metric registered in internal/sim
 //     must be catalogued (backticked) in docs/LEARNED.md and
-//     docs/OBSERVABILITY.md, and every `sim.parallel.*` / `arena.*`
-//     metric in docs/OBSERVABILITY.md, so those metric families cannot
-//     grow undocumented names.
+//     docs/OBSERVABILITY.md, and every `arena.*` metric in
+//     docs/OBSERVABILITY.md, so those metric families cannot grow
+//     undocumented names.
 //   - -stdout: no CLI sends telemetry to stdout. Reports belong on
 //     stdout; metric and event JSONL documents belong in files (the
 //     docs/OBSERVABILITY.md contract), so passing os.Stdout to
@@ -148,14 +148,13 @@ func checkDocs() []string {
 
 // metricDocRules maps a registered metric-name prefix to the docs that
 // must catalogue (backtick) every name carrying it: the learned family
-// is documented twice (its own guide plus the catalog); the parallel
-// engine and arena recycling families live in the catalog alone.
+// is documented twice (its own guide plus the catalog); the arena
+// recycling family lives in the catalog alone.
 var metricDocRules = []struct {
 	prefix string
 	docs   []string
 }{
 	{"learn.", []string{"LEARNED.md", "OBSERVABILITY.md"}},
-	{"sim.parallel.", []string{"OBSERVABILITY.md"}},
 	{"arena.", []string{"OBSERVABILITY.md"}},
 }
 
